@@ -2,7 +2,7 @@
 isomorphisms: the order-4 pair, the order-6 pair, and the empirical bound on
 the distortion-rigidity constant.
 
-Run with:  python demos/04_distortion_scan.py   (about a minute)
+Run with:  python demos/04_distortion_scan.py   (a few seconds)
 """
 
 import collections

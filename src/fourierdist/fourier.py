@@ -174,47 +174,21 @@ def function_from_cyclic_coeffs(g: FiniteGroup, coeffs) -> AFunction:
 
 def dual_norm_witness(f: AFunction, t: IrrepTable, iters: int = 25,
                       seed: int = 0) -> tuple[float, GroupAlgebraElement]:
-    """Maximize |<x, f>| over the unit ball of VN(G) by projected ascent.
+    """The element of the unit ball of VN(G) that attains ||f||_A = max |<x, f>|.
 
-    Returns the achieved value (a certified lower bound of ||f||_A, equal to
-    it at convergence) and the optimizing element.  Ascent steps follow the
-    phase-aligned gradient, projected back into the spectral ball by singular
-    value clipping; a final exact alignment step sets each block to the polar
-    unitary of the corresponding transform block.
+    Each block is the polar alignment X_pi = (U V^*)^* of the transform block
+    F_pi = U S V^*, so Re tr(X_pi F_pi) = ||F_pi||_1 and the pairing equals
+    ||f||_A exactly.  Returns the pairing at that element (a certified lower
+    bound of ||f||_A, equal to it up to rounding) and the element.  ``iters``
+    and ``seed`` are accepted for compatibility and ignored: the closed form
+    needs no search.
     """
     blocks_f = fourier_transform(f, t).blocks
     n = t.group.order
-    rng = np.random.default_rng(seed)
-    x = [np.linalg.svd(rng.standard_normal((rep.dimension,) * 2)
-                       + 1j * rng.standard_normal((rep.dimension,) * 2))[0]
-         for rep in t.irreps]
-
-    def pair(xblocks):
-        return sum(rep.dimension / n * np.einsum("ab,ba->", xb, fb)
-                   for rep, xb, fb in zip(t.irreps, xblocks, blocks_f))
-
-    def project(m):
-        u, s, vh = np.linalg.svd(m)
-        return u @ (np.minimum(s, 1.0)[:, None] * vh)
-
-    best = abs(pair(x))
-    step = 0.5
-    for _ in range(iters):
-        p = pair(x)
-        phase = p / abs(p) if abs(p) > 0 else 1.0
-        x_new = [project(xb + step * np.conj(phase) * rep.dimension / n * fb.conj().T)
-                 for rep, xb, fb in zip(t.irreps, x, blocks_f)]
-        val = abs(pair(x_new))
-        if val >= best:
-            best, x = val, x_new
-        else:
-            step *= 0.5
-    # exact alignment: block-wise polar maximizer of Re tr(X F)
     aligned = []
     for fb in blocks_f:
         u, _, vh = np.linalg.svd(fb)
         aligned.append((u @ vh).conj().T)
-    val = abs(pair(aligned))
-    if val >= best:
-        best, x = val, aligned
-    return float(best), vn_element_from_blocks(t, x)
+    value = abs(sum(rep.dimension / n * np.einsum("ab,ba->", xb, fb)
+                    for rep, xb, fb in zip(t.irreps, aligned, blocks_f)))
+    return float(value), vn_element_from_blocks(t, aligned)

@@ -6,6 +6,8 @@ T is a fixed coefficient permutation and the whole difficulty sits in the
 operator-norm evaluation over the block decompositions.  Every reported
 value is achieved by an explicit feasible witness and is therefore a
 certified lower bound of the true supremum; upper bounds are never claimed.
+When the source group is abelian a closed form gives the exact value, still
+reported as the objective at its witness.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupMismatchError, SizeLimitError
-from .fourier import GroupAlgebraElement
+from .fourier import AFunction, GroupAlgebraElement, dual_norm_witness
 from .groups import FiniteGroup, GroupBijection
 from .irreps import IrrepTable
 from .optim import (BlockLinearMap, haar_unitary, maximize_block_image,
@@ -128,6 +130,25 @@ class Witness:
             coeffs += rep.dimension / n * np.einsum("hab,iajb->hij", rep.matrices.conj(), x4)
         return coeffs
 
+    @classmethod
+    def from_matrix_coefficients(cls, table: IrrepTable, coeffs: np.ndarray) -> Witness:
+        """The witness X = sum_h C_h (x) lambda_h, from coefficients of shape (n, k, k)."""
+        k = coeffs.shape[1]
+        return cls(level=k, blocks=[
+            np.einsum("hij,hab->iajb", coeffs, rep.matrices).reshape(k * rep.dimension, -1)
+            for rep in table.irreps])
+
+
+def _witness_value(hom: InducedHom, witness: Witness) -> float:
+    """The objective max_pi ||sum_h C_h (x) pi(t(h))|| at a witness, by SVD."""
+    coeffs = witness.matrix_coefficients(hom)
+    k = witness.level
+    tmap = hom.bijection.map
+    return max(
+        float(np.linalg.svd(np.einsum("hij,hab->iajb", coeffs, rep.matrices[tmap])
+                            .reshape(k * rep.dimension, -1), compute_uv=False)[0])
+        for rep in hom.source_table.irreps)
+
 
 @dataclass(frozen=True, eq=False)
 class NormEstimate:
@@ -161,6 +182,9 @@ def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
 
     Maximizes max_pi ||sum_h C_h (x) pi(t(h))|| over block tuples
     X = sum_h C_h (x) lambda_h with max_sigma ||sum_h C_h (x) sigma(h)|| <= 1.
+    When the source group is abelian the exact value is taken from the
+    closed form instead; ``effort`` is then only validated, and ``seed`` and
+    ``hints`` are unused.
     """
     if k < 1:
         raise ValueError("amplification level must be >= 1")
@@ -169,10 +193,35 @@ def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
         raise SizeLimitError(
             f"level {k} with block dimension {max_dim} exceeds the limit {LEVEL_DIM_LIMIT}")
     eff = resolve_effort(effort)
+    if hom.source_group.is_abelian():
+        return _abelian_source_norm(hom, k)
     linmap = hom.linear_map(k)
     extra = tuple(_lift_witness(w, hom.target_table, k) for w in hints if w.level <= k)
     value, blocks, meta = maximize_block_image(linmap, eff, seed=seed, extra_starts=extra)
     return NormEstimate(value=value, witness=Witness(level=k, blocks=blocks), meta=meta)
+
+
+def _abelian_source_norm(hom: InducedHom, k: int) -> NormEstimate:
+    """Exact level-k norm when G, the source of T, is abelian.
+
+    VN(G) is commutative, so ||T||_k = ||T||_cb = ||T|| for every k, and the
+    unit ball of A(G) has the unimodular multiples of the characters as
+    extreme points; hence ||T||_k = max_chi ||chi o t||_{A(H)}.  The witness
+    is I_k (x) X for the dual witness X of the maximizing chi o t, and the
+    value is the objective evaluated there.
+    """
+    tmap = hom.bijection.map
+    best_val, best_x = -1.0, None
+    for rep in hom.source_table.irreps:
+        chi_t = AFunction(hom.target_group, rep.matrices[tmap, 0, 0])
+        val, x = dual_norm_witness(chi_t, hom.target_table)
+        if val > best_val:
+            best_val, best_x = val, x
+    level1 = Witness.from_matrix_coefficients(hom.target_table, best_x.coeffs[:, None, None])
+    witness = Witness(level=k, blocks=_lift_witness(level1, hom.target_table, k))
+    meta = {"restarts": 0, "iterations": 0, "samples": 0, "converged": True,
+            "best_source": "closed-form"}
+    return NormEstimate(value=_witness_value(hom, witness), witness=witness, meta=meta)
 
 
 def op_norm(hom: InducedHom, effort="default", seed: int = 0) -> NormEstimate:
@@ -407,4 +456,45 @@ def hom_norm_report(hom: InducedHom, levels=(1, 2), effort="default",
         distortion=norm_t * norm_tinv,
         witnesses=witnesses,
         optimizer_meta=meta,
+    )
+
+
+def transport_report(hom: InducedHom, report: HomNormReport, alpha: np.ndarray,
+                     beta: np.ndarray) -> HomNormReport:
+    """The report of the map alpha o t o beta, built from the report of t.
+
+    ``hom`` is induced by t : H -> G, and alpha, beta are automorphisms of G
+    and H.  They act on VN(G) and VN(H) as *-automorphisms, so moving the
+    witness coefficients of T along beta (C'_h = C_{beta(h)}) and those of
+    T^{-1} along alpha^{-1} keeps each witness feasible and its image norm
+    unchanged.  Every value is re-evaluated at the moved witness on the new
+    map, so it stays the exact objective at a stored witness.
+    """
+    bij = GroupBijection(source=hom.target_group, target=hom.source_group,
+                         map=alpha[hom.bijection.map[beta]])
+    moved = InducedHom(bijection=bij, source_table=hom.source_table,
+                       target_table=hom.target_table)
+    inverse, moved_inverse, alpha_inv = hom.inverse(), moved.inverse(), np.argsort(alpha)
+
+    def move(old_hom, new_hom, witness, perm):
+        coeffs = witness.matrix_coefficients(old_hom)[perm]
+        new_witness = Witness.from_matrix_coefficients(new_hom.target_table, coeffs)
+        return new_witness, _witness_value(new_hom, new_witness)
+
+    level_norms: dict[int, tuple[float, float]] = {}
+    witnesses: dict = {}
+    for k, (w_f, w_i) in report.witnesses.items():
+        w_f, v_f = move(hom, moved, w_f, beta)
+        w_i, v_i = move(inverse, moved_inverse, w_i, alpha_inv)
+        level_norms[k] = (v_f, v_i)
+        witnesses[k] = (w_f, w_i)
+    norm_t, norm_tinv = level_norms[1]
+    return HomNormReport(
+        norm_T=norm_t,
+        norm_Tinv=norm_tinv,
+        level_k_norms=level_norms,
+        distortion=norm_t * norm_tinv,
+        witnesses=witnesses,
+        optimizer_meta={k: tuple(dict(m) for m in metas)
+                        for k, metas in report.optimizer_meta.items()},
     )

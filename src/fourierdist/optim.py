@@ -17,7 +17,7 @@ random-sampling oracle over unitary tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,6 @@ class Effort:
     samples: int = 100_000
     polish_rounds: int = 60
     step: float = 0.1
-
-    def scaled(self, restarts=None, iterations=None, samples=None) -> Effort:
-        return replace(
-            self,
-            restarts=self.restarts if restarts is None else restarts,
-            iterations=self.iterations if iterations is None else iterations,
-            samples=self.samples if samples is None else samples,
-        )
 
     def for_scan(self) -> Effort:
         """Reduced per-item budget used inside exhaustive bijection scans."""
@@ -85,10 +77,13 @@ def top_singular_value(m: np.ndarray) -> float:
     if d == 1:
         return float(abs(m[0, 0]))
     if d == 2:
-        frob2 = float((m.real ** 2 + m.imag ** 2).sum())
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        gap = math.sqrt(max(frob2 * frob2 - 4.0 * abs(det) ** 2, 0.0))
-        return math.sqrt((frob2 + gap) / 2.0)
+        # eigenvalues of m m^* = [[p, q], [conj(q), r]], without the
+        # cancellation of frob^4 - 4 |det|^2 when the singular values are close
+        a, b, c, e = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+        p = abs(a) ** 2 + abs(b) ** 2
+        r = abs(c) ** 2 + abs(e) ** 2
+        q = a * c.conjugate() + b * e.conjugate()
+        return math.sqrt((p + r) / 2.0 + math.hypot((p - r) / 2.0, abs(q)))
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

@@ -5,6 +5,9 @@ a scan can certify that norms exceed a threshold but never that a value in a
 gap is truly attained, which is why the gap verdicts are advisory.
 Bijections are canonicalized to fix the identity; left translations on
 either side leave every computed norm unchanged, so nothing is lost.
+Automorphisms on either side are complete isometries too, so exhaustive
+scans optimize one map per Aut(G) x Aut(H) orbit and carry its witnesses
+over to the rest of the orbit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import GroupMismatchError
 from .groups import FiniteGroup, GroupBijection, are_isomorphic, automorphisms
-from .homs import HomNormReport, InducedHom, hom_norm_report
+from .homs import HomNormReport, InducedHom, hom_norm_report, transport_report
 from .irreps import irrep_table_for
 from .optim import resolve_effort
 
@@ -85,8 +88,13 @@ def enumerate_bijections(g: FiniteGroup, h: FiniteGroup, canonical: bool = True,
 
 @dataclass(frozen=True, eq=False)
 class BijectionRecord:
+    """One scanned bijection; ``orbit`` is the representative of its
+    Aut(G) x Aut(H) orbit whose report was transported here (exhaustive
+    scans only)."""
+
     bijection: GroupBijection
     report: HomNormReport
+    orbit: GroupBijection | None = None
 
 
 @dataclass(eq=False)
@@ -125,20 +133,72 @@ def _scan_worker(payload):
     return rec
 
 
+def _orbit_transports(g: FiniteGroup, h: FiniteGroup, maps):
+    """Orbit representatives of the canonical maps under Aut(g) x Aut(h).
+
+    Returns the representatives and, for each map m, a triple
+    (representative index, alpha, beta) with m = alpha o r o beta.  The
+    canonical maps come in lexicographic order, so the first map met in an
+    orbit is its smallest member, the one ``enumerate_bijections`` keeps with
+    ``aut_reduce``.
+    """
+    auts_g, auts_h = automorphisms(g), automorphisms(h)
+    reps, found = [], {}
+    for mp in maps:
+        if tuple(mp.tolist()) in found:
+            continue
+        for alpha in auts_g:
+            for beta in auts_h:
+                found.setdefault(tuple(alpha[mp[beta]].tolist()), (len(reps), alpha, beta))
+        reps.append(mp)
+    return reps, [found[tuple(mp.tolist())] for mp in maps]
+
+
 def _scan(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
           jobs: int = 1):
+    """Reports for every canonical bijection.
+
+    Exhaustive scans compute one report per automorphism orbit and transport
+    it to the other members (every norm is constant on an orbit); sampled
+    scans compute every sampled map.
+    """
     eff = resolve_effort(effort).for_scan()
     maps = [bij.map for bij in enumerate_bijections(g, h, canonical=True, seed=seed,
                                                     sample_size=sample_size)]
-    if jobs <= 1 or len(maps) < 4:
-        return [_scan_one(g, h, mp, levels, eff, seed) for mp in maps]
-    import concurrent.futures
-    payloads = [{"g": g.to_json(), "h": h.to_json(), "map": mp.tolist(),
-                 "levels": levels, "eff": eff, "seed": seed} for mp in maps]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(payloads) // (4 * jobs))
-        records = list(pool.map(_scan_worker, payloads, chunksize=chunk))
+    exhaustive = g.order <= EXHAUSTIVE_ORDER_LIMIT
+    reps, transports = _orbit_transports(g, h, maps) if exhaustive else (maps, None)
+    if jobs <= 1 or len(reps) < 4:
+        computed = [_scan_one(g, h, mp, levels, eff, seed) for mp in reps]
+    else:
+        import concurrent.futures
+        payloads = [{"g": g.to_json(), "h": h.to_json(), "map": mp.tolist(),
+                     "levels": levels, "eff": eff, "seed": seed} for mp in reps]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunk = max(1, len(payloads) // (4 * jobs))
+            computed = list(pool.map(_scan_worker, payloads, chunksize=chunk))
+    if transports is None:
+        return computed
+    tables = {"source_table": irrep_table_for(g), "target_table": irrep_table_for(h)}
+    records = []
+    for mp, (r, alpha, beta) in zip(maps, transports):
+        rep = computed[r]
+        report = rep.report
+        if not np.array_equal(mp, rep.bijection.map):
+            hom = InducedHom(bijection=rep.bijection, **tables)
+            report = transport_report(hom, report, alpha, beta)
+        records.append(BijectionRecord(GroupBijection(source=h, target=g, map=mp), report,
+                                       orbit=rep.bijection))
     return records
+
+
+def _scan_meta(g: FiniteGroup, records, iso: bool, seed: int, sample_size: int) -> dict:
+    exhaustive = g.order <= EXHAUSTIVE_ORDER_LIMIT
+    return {"isomorphic": iso, "seed": seed,
+            "exhaustive": exhaustive,
+            "sample_size": None if exhaustive else sample_size,
+            "bijections": len(records),
+            "orbits": len({tuple(r.orbit.map.tolist()) for r in records})
+            if exhaustive else None}
 
 
 def min_distortion(g: FiniteGroup, h: FiniteGroup, effort="default", seed: int = 0,
@@ -153,10 +213,7 @@ def min_distortion(g: FiniteGroup, h: FiniteGroup, effort="default", seed: int =
         min_distortion=dist, argmin_distortion=arg,
         min_level2=None, argmin_level2=None,
         threshold_verdicts={},
-        meta={"isomorphic": iso, "seed": seed,
-              "exhaustive": g.order <= EXHAUSTIVE_ORDER_LIMIT,
-              "sample_size": None if g.order <= EXHAUSTIVE_ORDER_LIMIT else sample_size,
-              "bijections": len(records)},
+        meta=_scan_meta(g, records, iso, seed, sample_size),
     )
 
 
@@ -218,10 +275,7 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
         min_distortion=dist, argmin_distortion=arg_d,
         min_level2=lvl2, argmin_level2=arg_2,
         threshold_verdicts=verdicts,
-        meta={"isomorphic": iso, "seed": seed,
-              "exhaustive": g.order <= EXHAUSTIVE_ORDER_LIMIT,
-              "sample_size": None if g.order <= EXHAUSTIVE_ORDER_LIMIT else sample_size,
-              "bijections": len(records)},
+        meta=_scan_meta(g, records, iso, seed, sample_size),
     )
 
 
@@ -254,16 +308,26 @@ def epsilon_zero_bound(pairs, effort="default", seed: int = 0):
 
 def search_result_rows(result: SearchResult) -> list[dict]:
     """Flat per-bijection rows used by the CSV and JSON exports."""
+    def map_text(bij):
+        return ",".join(str(int(x)) for x in bij.map)
+
+    def per_level(report, key):
+        return {str(k): {"T": metas[0].get(key), "Tinv": metas[1].get(key)}
+                for k, metas in report.optimizer_meta.items()}
+
     rows = []
     for rec in result.records:
         level2 = rec.report.level_k_norms.get(2)
         rows.append({
-            "bijection": ",".join(str(int(x)) for x in rec.bijection.map),
+            "bijection": map_text(rec.bijection),
             "norm_T": rec.report.norm_T,
             "norm_Tinv": rec.report.norm_Tinv,
             "level2_T": None if level2 is None else level2[0],
             "level2_Tinv": None if level2 is None else level2[1],
             "distortion": rec.report.distortion,
+            "converged": per_level(rec.report, "converged"),
+            "best_source": per_level(rec.report, "best_source"),
+            "orbit": None if rec.orbit is None else map_text(rec.orbit),
         })
     return rows
 

@@ -194,3 +194,21 @@ def test_reproduce_fault_injection_localizes_failures():
                        "Z6->S3 distortion",
                        "Jordan defect identity on inverse pairs"}
     assert not rows_to_dict(rows)["all_pass"]
+
+
+def test_scan_json_trust_keys(capsys):
+    code, data = run_json(capsys, "scan", "--source", "Z6", "--target", "S3",
+                          "--level", "2", "--effort", "low")
+    assert code == 0
+    assert data["schema"] == 1
+    assert len(data["records"]) == 120
+    assert data["meta"]["orbits"] == 12
+    for rec in data["records"]:
+        assert set(rec["converged"]) == set(rec["best_source"]) == {"1", "2"}
+        for level in ("1", "2"):
+            assert set(rec["converged"][level]) == {"T", "Tinv"}
+            # Z6 is abelian, so every T value comes from the closed form
+            assert rec["best_source"][level]["T"] == "closed-form"
+            assert rec["converged"][level]["T"] is True
+        assert len(rec["orbit"].split(",")) == 6
+    assert len({rec["orbit"] for rec in data["records"]}) == 12

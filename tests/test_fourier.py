@@ -240,3 +240,21 @@ def test_vn_norm_agrees_with_regular_representation(corpus, tables):
                                compute_uv=False)[0]
         assert fd.vn_norm(fd.GroupAlgebraElement(g, coeffs), t) \
             == pytest.approx(direct, abs=1e-9)
+
+
+def test_dual_norm_witness_closed_form(corpus, tables):
+    # the polar alignment attains ||f||_A up to rounding, whatever iters/seed say
+    rng = np.random.default_rng(14)
+    for g in corpus:
+        if g.order > 12:
+            continue
+        t = tables[g.label]
+        f = fd.AFunction(g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order))
+        norm = fd.a_norm(f, t)
+        opt, witness = fd.dual_norm_witness(f, t)
+        assert abs(opt - norm) <= 1e-12 * max(1.0, norm)
+        assert abs(fd.pairing(witness, f)) == pytest.approx(opt, abs=1e-9)
+        assert fd.vn_norm(witness, t) <= 1.0 + 1e-12
+        again = fd.dual_norm_witness(f, t, iters=3, seed=9)
+        assert again[0] == opt
+        assert np.array_equal(again[1].coeffs, witness.coeffs)

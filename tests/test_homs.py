@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
+from fourierdist import homs as homs_module
 from fourierdist.errors import GroupMismatchError, SizeLimitError
+from fourierdist.optim import maximize_block_image
 
 from conftest import FAST_EFFORT, reevaluate_witness
 
@@ -280,3 +282,58 @@ def test_hom_apply_is_composition(z6_s3_hom, z6):
     values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     out = z6_s3_hom.apply(values)
     assert np.array_equal(out, values[z6_s3_hom.bijection.map])
+
+
+def _optimizer_value(hom, k, effort, seed=0):
+    value, _, _ = maximize_block_image(hom.linear_map(k), effort, seed=seed)
+    return value
+
+
+def test_abelian_closed_form_not_below_optimizer(z6, s3):
+    # one map per Aut(Z6) x Aut(S3) orbit; the closed form is exact, so the
+    # optimizer's lower bound may not exceed it
+    t6, t3 = fd.irrep_table_for(z6), fd.irrep_table_for(s3)
+    reps = list(fd.enumerate_bijections(z6, s3, aut_reduce=True))
+    assert len(reps) == 12
+    for bij in reps:
+        hom = fd.InducedHom(bijection=bij, source_table=t6, target_table=t3)
+        for k in (1, 2):
+            exact = fd.level_k_norm(hom, k).value
+            assert exact >= _optimizer_value(hom, k, FAST_EFFORT) - 1e-12
+
+
+def test_abelian_closed_form_matches_optimizer_order_four():
+    z4 = fd.make_cyclic(4)
+    z22 = fd.parse_group_spec("Z2xZ2")
+    t4, t22 = fd.irrep_table_for(z4), fd.irrep_table_for(z22)
+    for bij in fd.enumerate_bijections(z4, z22):
+        hom = fd.InducedHom(bijection=bij, source_table=t4, target_table=t22)
+        for h in (hom, hom.inverse()):
+            for k in (1, 2):
+                est = fd.level_k_norm(h, k)
+                assert est.meta["best_source"] == "closed-form"
+                assert est.value == pytest.approx(_optimizer_value(h, k, FAST_EFFORT),
+                                                  abs=1e-6)
+
+
+def test_cb_norm_abelian_source_skips_optimizer(z6_s3_hom, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return maximize_block_image(*args, **kwargs)
+
+    monkeypatch.setattr(homs_module, "maximize_block_image", counting)
+    result = fd.cb_norm(z6_s3_hom)
+    assert calls == []
+    assert [k for k, _ in result.levels] == [1, 2, 3, 4, 5, 6]
+    for _, val in result.levels:
+        assert val == pytest.approx(SQRT2, abs=1e-12)
+    assert result.meta == {"restarts": 0, "iterations": 0, "samples": 0,
+                           "converged": True, "best_source": "closed-form"}
+    value, feasibility = reevaluate_witness(z6_s3_hom, result)
+    assert abs(value - result.value) < 1e-9
+    assert feasibility <= 1.0 + 1e-9
+    # the other direction has a non-abelian source and still runs the optimizer
+    fd.op_norm(z6_s3_hom.inverse(), effort=FAST_EFFORT)
+    assert len(calls) == 1

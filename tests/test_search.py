@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
+from fourierdist import homs as homs_module
 from fourierdist.errors import GroupMismatchError
+from fourierdist.optim import maximize_block_image
 
-from conftest import FAST_EFFORT
+from conftest import FAST_EFFORT, reevaluate_witness
 from test_homs import abelian_induced_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -178,3 +180,70 @@ def test_csv_export():
     rows = fd.search_result_rows(result)
     assert len(rows) == 6
     assert rows[0]["level2_T"] is not None
+
+
+@pytest.fixture(scope="module")
+def counted_z6_s3_scan():
+    """Orbit-reduced Z6/S3 level-2 scan, counting optimizer calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return maximize_block_image(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs_module, "maximize_block_image", counting)
+        result = fd.norm_gap_scan(fd.make_cyclic(6), fd.make_symmetric(3), level=2,
+                                  effort="low", seed=0)
+    return result, len(calls)
+
+
+def test_orbit_reduced_scan_counts(counted_z6_s3_scan):
+    result, calls = counted_z6_s3_scan
+    assert len(result.records) == 120
+    # 12 orbit representatives x levels 1 and 2, T^-1 only (Z6 is abelian)
+    assert calls == 24
+    reps = {tuple(b.map.tolist()) for b in fd.enumerate_bijections(
+        *result.pair, aut_reduce=True)}
+    assert {tuple(r.orbit.map.tolist()) for r in result.records} == reps
+    assert result.meta["orbits"] == 12
+
+
+def test_orbit_reduced_scan_witnesses(counted_z6_s3_scan):
+    result, _ = counted_z6_s3_scan
+    g, h = result.pair
+    tg, th = fd.irrep_table_for(g), fd.irrep_table_for(h)
+    for rec in result.records:
+        hom = fd.InducedHom(bijection=rec.bijection, source_table=tg, target_table=th)
+        for k, pair in rec.report.witnesses.items():
+            for d, direction in enumerate((hom, hom.inverse())):
+                est = fd.NormEstimate(value=rec.report.level_k_norms[k][d],
+                                      witness=pair[d], meta={})
+                value, feasibility = reevaluate_witness(direction, est)
+                assert feasibility <= 1.0 + 1e-9
+                assert abs(value - est.value) <= 1e-9
+
+
+def test_orbit_members_match_direct_reports(counted_z6_s3_scan):
+    result, _ = counted_z6_s3_scan
+    g, h = result.pair
+    eff = fd.resolve_effort("low").for_scan()
+    by_map = {tuple(r.bijection.map.tolist()): r for r in result.records}
+    for mapping in ((0, 1, 4, 5, 2, 3), (0, 1, 5, 2, 4, 3), (0, 2, 5, 4, 1, 3)):
+        rec = by_map[mapping]
+        assert tuple(rec.orbit.map.tolist()) != mapping
+        hom = fd.induced_hom(fd.irrep_table_for(g), fd.irrep_table_for(h), mapping)
+        direct = fd.hom_norm_report(hom, levels=(1, 2), effort=eff, seed=0)
+        for k in (1, 2):
+            assert np.allclose(direct.level_k_norms[k], rec.report.level_k_norms[k],
+                               rtol=0, atol=1e-9)
+
+
+def test_parallel_scan_matches_sequential_order_six(counted_z6_s3_scan):
+    seq, _ = counted_z6_s3_scan
+    par = fd.norm_gap_scan(*seq.pair, level=2, effort="low", seed=0, jobs=2)
+    assert len(par.records) == len(seq.records)
+    for a, b in zip(seq.records, par.records):
+        assert np.array_equal(a.bijection.map, b.bijection.map)
+        assert np.array_equal(a.orbit.map, b.orbit.map)
+        assert a.report.level_k_norms == b.report.level_k_norms
