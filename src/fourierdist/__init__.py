@@ -15,6 +15,8 @@ from .fourier import (
     GroupAlgebraElement,
     a_norm,
     a_norm_contributions,
+    blocks_from_coeffs,
+    coeffs_from_blocks,
     delta_function,
     dual_norm_witness,
     fourier_inverse,

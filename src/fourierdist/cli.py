@@ -15,13 +15,14 @@ import sys
 
 import numpy as np
 
-from .errors import (DegenerateSpectrumError, GroupMismatchError, GroupOrderError,
-                     GroupSpecError, NumericInputError, SizeLimitError)
+from .errors import (DegenerateSpectrumError, GroupSpecError, NumericInputError,
+                     SizeLimitError)
 from .fourier import AFunction, a_norm, a_norm_contributions, function_from_cyclic_coeffs
 from .groups import group_from_json, parse_group_spec
 from .homs import hom_norm_report, induced_hom
 from .irreps import irrep_table_for, irrep_table_to_json, irreps_of
 from .lemmas import verify_invmult, verify_norm_gap, verify_unitmult
+from .optim import EFFORT_PRESETS
 from .reference import build_reference_rows, rows_to_dict
 from .search import min_distortion, norm_gap_scan, search_result_rows, search_result_to_csv
 
@@ -34,7 +35,7 @@ EXIT_NUMERIC = 4
 
 def _default_effort() -> str:
     effort = os.environ.get("FD_EFFORT", "default")
-    return effort if effort in ("low", "default", "high") else "default"
+    return effort if effort in EFFORT_PRESETS else "default"
 
 
 def _emit(data: dict, fmt: str, out: str | None, text_renderer) -> None:
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--effort", default=_default_effort(),
-                       choices=["low", "default", "high"])
+                       choices=list(EFFORT_PRESETS))
         p.add_argument("--format", default="text", choices=["json", "text"])
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--jobs", type=int, default=1,
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=2, choices=[1, 2])
     p.add_argument("--csv", default=None, help="also write per-bijection CSV here")
     p.add_argument("--sample-size", dest="sample_size", type=int, default=10_000,
-                   help="sample size used beyond exhaustive order")
+                   help="maps sampled beyond exhaustive order n > 8; "
+                        "between 1 and (n-1)!")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-lemmas", help="randomized checks of the matrix lemmas")
@@ -362,16 +364,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (GroupSpecError, GroupOrderError, GroupMismatchError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     except SizeLimitError as exc:
         sys.stderr.write(f"size limit: {exc}\n")
         return EXIT_SIZE
     except (NumericInputError, DegenerateSpectrumError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # group spec errors, and arguments out of range such as --sample-size
+        sys.stderr.write(f"error: {exc}\n")
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

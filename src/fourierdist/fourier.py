@@ -18,6 +18,7 @@ import numpy as np
 from .errors import GroupMismatchError, NumericInputError
 from .groups import FiniteGroup
 from .irreps import IrrepTable
+from .optim import polar_factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +123,35 @@ def a_norm_contributions(f: AFunction, t: IrrepTable) -> list[dict]:
     return out
 
 
+def blocks_from_coeffs(t: IrrepTable, coeffs: np.ndarray) -> list[np.ndarray]:
+    """Irrep blocks X_pi = sum_g C_g (x) pi(g), rows and columns indexed by
+    (i, a), of X = sum_g C_g (x) lambda_g; ``coeffs`` is (n, k, k), or (n,)."""
+    c = np.asarray(coeffs)
+    if c.ndim == 1:
+        c = c[:, None, None]
+    k = c.shape[1]
+    return [np.einsum("gij,gab->iajb", c, rep.matrices).reshape(k * rep.dimension, -1)
+            for rep in t.irreps]
+
+
+def coeffs_from_blocks(t: IrrepTable, blocks: list[np.ndarray]) -> np.ndarray:
+    """Coefficients C_g, shape (n, k, k), of the element with the given irrep
+    blocks: C_g = sum_pi (d_pi/|G|) tr_pi(pi(g)^* X_pi), the inverse of
+    ``blocks_from_coeffs`` by Schur orthogonality."""
+    n = t.group.order
+    k = blocks[0].shape[0] // t.irreps[0].dimension
+    coeffs = np.zeros((n, k, k), dtype=complex)
+    for rep, blk in zip(t.irreps, blocks):
+        d = rep.dimension
+        coeffs += d / n * np.einsum("gab,iajb->gij", rep.matrices.conj(),
+                                    blk.reshape(k, d, k, d))
+    return coeffs
+
+
 def vn_blocks(x: GroupAlgebraElement, t: IrrepTable) -> list[np.ndarray]:
     """Blocks sum_g c_g pi(g), the image of x in each irreducible summand."""
     _require_same_group(x.group, t)
-    return [np.einsum("g,gab->ab", x.coeffs, rep.matrices) for rep in t.irreps]
+    return blocks_from_coeffs(t, x.coeffs)
 
 
 def vn_norm(x: GroupAlgebraElement, t: IrrepTable) -> float:
@@ -135,11 +161,7 @@ def vn_norm(x: GroupAlgebraElement, t: IrrepTable) -> float:
 
 def vn_element_from_blocks(t: IrrepTable, blocks: list[np.ndarray]) -> GroupAlgebraElement:
     """Coefficients of the VN(G) element with the given irrep blocks."""
-    n = t.group.order
-    coeffs = np.zeros(n, dtype=complex)
-    for rep, blk in zip(t.irreps, blocks):
-        coeffs += rep.dimension * np.einsum("gba,ba->g", rep.matrices.conj(), blk)
-    return GroupAlgebraElement(group=t.group, coeffs=coeffs / n)
+    return GroupAlgebraElement(group=t.group, coeffs=coeffs_from_blocks(t, blocks)[:, 0, 0])
 
 
 def pairing(x: GroupAlgebraElement, f: AFunction) -> complex:
@@ -185,10 +207,7 @@ def dual_norm_witness(f: AFunction, t: IrrepTable, iters: int = 25,
     """
     blocks_f = fourier_transform(f, t).blocks
     n = t.group.order
-    aligned = []
-    for fb in blocks_f:
-        u, _, vh = np.linalg.svd(fb)
-        aligned.append((u @ vh).conj().T)
+    aligned = [polar_factor(fb).conj().T for fb in blocks_f]
     value = abs(sum(rep.dimension / n * np.einsum("ab,ba->", xb, fb)
                     for rep, xb, fb in zip(t.irreps, aligned, blocks_f)))
     return float(value), vn_element_from_blocks(t, aligned)

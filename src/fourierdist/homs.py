@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupMismatchError, SizeLimitError
-from .fourier import AFunction, GroupAlgebraElement, dual_norm_witness
+from .fourier import (AFunction, GroupAlgebraElement, blocks_from_coeffs, coeffs_from_blocks,
+                      dual_norm_witness)
 from .groups import FiniteGroup, GroupBijection
 from .irreps import IrrepTable
-from .optim import (BlockLinearMap, haar_unitary, maximize_block_image,
-                    polar_factor, resolve_effort)
+from .optim import (BlockLinearMap, _best_block, _polish_step, haar_unitary,
+                    maximize_block_image, resolve_effort, top_singular_values)
 
 LEVEL_DIM_LIMIT = 64
 CB_LEVEL_LIMIT = 8
@@ -107,9 +108,14 @@ def adjoint_image(hom: InducedHom, x: GroupAlgebraElement) -> GroupAlgebraElemen
     if x.group.order != hom.target_group.order or \
             not np.array_equal(x.group.table, hom.target_group.table):
         raise GroupMismatchError("element must live over the bijection domain")
-    out = np.zeros(hom.source_group.order, dtype=complex)
-    out[hom.bijection.map] = x.coeffs
-    return GroupAlgebraElement(group=hom.source_group, coeffs=out)
+    return GroupAlgebraElement(group=hom.source_group, coeffs=_push(hom, x.coeffs))
+
+
+def _push(hom: InducedHom, coeffs: np.ndarray) -> np.ndarray:
+    """T* on coefficients of shape (n, ...): C_h moves to lambda_{t(h)}."""
+    out = np.zeros_like(coeffs, dtype=complex)
+    out[hom.bijection.map] = coeffs
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,33 +127,12 @@ class Witness:
 
     def matrix_coefficients(self, hom: InducedHom) -> np.ndarray:
         """Coefficients C_h with X = sum_h C_h (x) lambda_h, shape (n, k, k)."""
-        n = hom.target_group.order
-        k = self.level
-        coeffs = np.zeros((n, k, k), dtype=complex)
-        for rep, blk in zip(hom.target_table.irreps, self.blocks):
-            d = rep.dimension
-            x4 = blk.reshape(k, d, k, d)
-            coeffs += rep.dimension / n * np.einsum("hab,iajb->hij", rep.matrices.conj(), x4)
-        return coeffs
-
-    @classmethod
-    def from_matrix_coefficients(cls, table: IrrepTable, coeffs: np.ndarray) -> Witness:
-        """The witness X = sum_h C_h (x) lambda_h, from coefficients of shape (n, k, k)."""
-        k = coeffs.shape[1]
-        return cls(level=k, blocks=[
-            np.einsum("hij,hab->iajb", coeffs, rep.matrices).reshape(k * rep.dimension, -1)
-            for rep in table.irreps])
+        return coeffs_from_blocks(hom.target_table, self.blocks)
 
 
 def _witness_value(hom: InducedHom, witness: Witness) -> float:
     """The objective max_pi ||sum_h C_h (x) pi(t(h))|| at a witness, by SVD."""
-    coeffs = witness.matrix_coefficients(hom)
-    k = witness.level
-    tmap = hom.bijection.map
-    return max(
-        float(np.linalg.svd(np.einsum("hij,hab->iajb", coeffs, rep.matrices[tmap])
-                            .reshape(k * rep.dimension, -1), compute_uv=False)[0])
-        for rep in hom.source_table.irreps)
+    return _vn_norm_coeffs(hom.source_table, _push(hom, witness.matrix_coefficients(hom)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +202,7 @@ def _abelian_source_norm(hom: InducedHom, k: int) -> NormEstimate:
         val, x = dual_norm_witness(chi_t, hom.target_table)
         if val > best_val:
             best_val, best_x = val, x
-    level1 = Witness.from_matrix_coefficients(hom.target_table, best_x.coeffs[:, None, None])
+    level1 = Witness(level=1, blocks=blocks_from_coeffs(hom.target_table, best_x.coeffs))
     witness = Witness(level=k, blocks=_lift_witness(level1, hom.target_table, k))
     meta = {"restarts": 0, "iterations": 0, "samples": 0, "converged": True,
             "best_source": "closed-form"}
@@ -272,23 +257,14 @@ def _convolve(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _jordan_coeffs(hom: InducedHom, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients over G of T*(ab) + T*(ba) - T*(a)T*(b) - T*(b)T*(a)."""
     h_group, g_group = hom.target_group, hom.source_group
-    tmap = hom.bijection.map
-
-    def push(c):
-        out = np.zeros(g_group.order, dtype=complex)
-        out[tmap] = c
-        return out
-
-    pa, pb = push(a), push(b)
-    return (push(_convolve(h_group, a, b)) + push(_convolve(h_group, b, a))
+    pa, pb = _push(hom, a), _push(hom, b)
+    return (_push(hom, _convolve(h_group, a, b)) + _push(hom, _convolve(h_group, b, a))
             - _convolve(g_group, pa, pb) - _convolve(g_group, pb, pa))
 
 
 def _vn_norm_coeffs(table: IrrepTable, coeffs: np.ndarray) -> float:
-    return max(
-        float(np.linalg.svd(np.einsum("g,gab->ab", coeffs, rep.matrices),
-                            compute_uv=False)[0])
-        for rep in table.irreps)
+    """Operator norm of sum_g C_g (x) lambda_g: the largest block norm, by SVD."""
+    return max(float(top_singular_values(blk)) for blk in blocks_from_coeffs(table, coeffs))
 
 
 def jordan_defect(hom: InducedHom, samples: int = 256, seed: int = 0,
@@ -326,12 +302,8 @@ def jordan_defect(hom: InducedHom, samples: int = 256, seed: int = 0,
 
 def _random_unitary_element(table: IrrepTable, rng: np.random.Generator) -> np.ndarray:
     """Coefficients of a Haar-random unitary element of VN(H)."""
-    n = table.group.order
-    coeffs = np.zeros(n, dtype=complex)
-    for rep in table.irreps:
-        u = haar_unitary(rng, rep.dimension)
-        coeffs += rep.dimension / n * np.einsum("gba,ba->g", rep.matrices.conj(), u)
-    return coeffs
+    return coeffs_from_blocks(table, [haar_unitary(rng, rep.dimension)
+                                      for rep in table.irreps])[:, 0, 0]
 
 
 def _conv_matrices(group: FiniteGroup, b: np.ndarray):
@@ -348,7 +320,11 @@ def _conv_matrices(group: FiniteGroup, b: np.ndarray):
 
 def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
                         rounds: int) -> float:
-    """Alternating exact ascent of the defect over the two unit balls."""
+    """Alternating exact ascent of the defect over the two unit balls.
+
+    The defect is linear in each argument, c -> lin @ c, so each half step is
+    the optimizer's polish step in block coordinates.
+    """
     h_table, g_table = hom.target_table, hom.source_table
     h_group, g_group = hom.target_group, hom.source_group
     n = h_group.order
@@ -356,42 +332,30 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
     perm = np.zeros((n, n), dtype=complex)
     perm[tmap, np.arange(n)] = 1.0
 
-    def linear_map_given(other):
-        """Matrix of c -> Jordan coefficients when the other argument is fixed."""
-        right_h, left_h = _conv_matrices(h_group, other)
-        p_other = perm @ other
-        right_g, left_g = _conv_matrices(g_group, p_other)
-        return perm @ (right_h + left_h) - (right_g + left_g) @ perm
+    def half_step(fixed, var):
+        right_h, left_h = _conv_matrices(h_group, fixed)
+        right_g, left_g = _conv_matrices(g_group, perm @ fixed)
+        lin = perm @ (right_h + left_h) - (right_g + left_g) @ perm
 
-    def blocks_of(c):
-        return [np.einsum("g,gab->ab", c, rep.matrices) for rep in h_table.irreps]
+        def adjoint(seed_blocks):
+            # the seed has one nonzero block, so this is the adjoint of
+            # X -> blocks(lin @ coeffs(X)) up to a positive factor per block
+            pulled = lin.conj().T @ coeffs_from_blocks(g_table, seed_blocks)[:, 0, 0]
+            return blocks_from_coeffs(h_table, pulled)
 
-    def coeffs_of(blocks):
-        out = np.zeros(n, dtype=complex)
-        for rep, blk in zip(h_table.irreps, blocks):
-            out += rep.dimension / n * np.einsum("gba,ba->g", rep.matrices.conj(), blk)
-        return out
+        y = blocks_from_coeffs(g_table, lin @ var)
+        _, idx, u, v = _best_block(y)
+        return coeffs_from_blocks(h_table, _polish_step(adjoint, y, idx, u, v))[:, 0, 0]
 
     a, b = a0.copy(), b0.copy()
     best = _vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
     for _ in range(rounds):
         improved = False
         for which in (0, 1):
-            fixed = b if which == 0 else a
-            lin = linear_map_given(fixed)
-            var = a if which == 0 else b
-            cj = lin @ var
-            val, idx, u, v = _best_g_block(g_table, cj)
-            w = np.array([np.vdot(u, rep_mat @ v)
-                          for rep_mat in g_table.irreps[idx].matrices])
-            grad_c = lin.conj().T @ w.conj()
-            grad_blocks = [rep.dimension / n * np.einsum("h,hab->ab", grad_c, rep.matrices)
-                           for rep in h_table.irreps]
-            new_var = coeffs_of([polar_factor(gb) for gb in grad_blocks])
             if which == 0:
-                a = new_var
+                a = half_step(b, a)
             else:
-                b = new_var
+                b = half_step(a, b)
             val_new = _vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
             if val_new > best + 1e-13:
                 best = val_new
@@ -399,18 +363,6 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
         if not improved:
             break
     return best
-
-
-def _best_g_block(table: IrrepTable, coeffs: np.ndarray):
-    best_val, best = -1.0, None
-    for idx, rep in enumerate(table.irreps):
-        blk = np.einsum("g,gab->ab", coeffs, rep.matrices)
-        u, s, vh = np.linalg.svd(blk)
-        if s[0] > best_val:
-            best_val = float(s[0])
-            best = (idx, u[:, 0], vh[0].conj())
-    idx, u, v = best
-    return best_val, idx, u, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +430,8 @@ def transport_report(hom: InducedHom, report: HomNormReport, alpha: np.ndarray,
 
     def move(old_hom, new_hom, witness, perm):
         coeffs = witness.matrix_coefficients(old_hom)[perm]
-        new_witness = Witness.from_matrix_coefficients(new_hom.target_table, coeffs)
+        new_witness = Witness(level=witness.level,
+                              blocks=blocks_from_coeffs(new_hom.target_table, coeffs))
         return new_witness, _witness_value(new_hom, new_witness)
 
     level_norms: dict[int, tuple[float, float]] = {}

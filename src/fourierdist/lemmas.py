@@ -16,7 +16,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .homs import jordan_defect, op_norm
 from .irreps import IrrepTable
-from .optim import resolve_effort
+from .optim import haar_unitaries, haar_unitary, resolve_effort, top_singular_values
 
 MARGIN_TOL = 1e-9
 FOUR_TERM_TOL = 1e-10
@@ -30,18 +30,6 @@ class LemmaReport:
     worst_margin: float
     counterexample: dict | None = None
     meta: dict = field(default_factory=dict)
-
-
-def _haar_batch(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    z = (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.einsum("nii->ni", r).copy()
-    ph /= np.abs(ph)
-    return q * ph[:, None, :]
-
-
-def _top_sv(batch: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(batch, compute_uv=False)[..., 0]
 
 
 def _bound_from_block_norm(norms: np.ndarray) -> np.ndarray:
@@ -80,7 +68,7 @@ def _sample_x_near(rng, target: np.ndarray) -> np.ndarray:
     x[sel] = target[sel] + eps[sel, None, None] * g[sel]
     sel = kind == 2
     scale = rng.uniform(0.0, 2.0, size=m)
-    x[sel] = (_haar_batch(rng, int(sel.sum()), d) * scale[sel, None, None])
+    x[sel] = (haar_unitaries(rng, int(sel.sum()), d) * scale[sel, None, None])
     return x
 
 
@@ -135,10 +123,10 @@ def verify_invmult(dim: int, trials: int = 10_000, seed: int = 0,
     done = 0
     while done < trials:
         m = min(4096, trials - done)
-        u = _haar_batch(rng, m, dim)
+        u = haar_unitaries(rng, m, dim)
         x = _sample_x_near(rng, np.conj(np.transpose(u, (0, 2, 1))))
-        bound = _bound_from_block_norm(_top_sv(_block_invmult(u, x)))
-        target = _top_sv(x - np.conj(np.transpose(u, (0, 2, 1))))
+        bound = _bound_from_block_norm(top_singular_values(_block_invmult(u, x)))
+        target = top_singular_values(x - np.conj(np.transpose(u, (0, 2, 1))))
         margins = bound - target
         j = int(margins.argmin())
         if margins[j] < worst:
@@ -147,7 +135,7 @@ def verify_invmult(dim: int, trials: int = 10_000, seed: int = 0,
         done += m
     meta = {"dim": dim, "worst_margin_random": worst}
     if adversarial:
-        starts_u = [worst_cfg[0]] + [_haar_batch(rng, 1, dim)[0] for _ in range(5)]
+        starts_u = [worst_cfg[0]] + [haar_unitary(rng, dim) for _ in range(5)]
         starts_x = [worst_cfg[1]] + [
             np.conj(starts_u[i + 1].T) + 0.05 * (rng.standard_normal((dim, dim))
                                                  + 1j * rng.standard_normal((dim, dim)))
@@ -177,11 +165,11 @@ def verify_unitmult(dim: int, trials: int = 10_000, seed: int = 0,
     done = 0
     while done < trials:
         m = min(4096, trials - done)
-        u = _haar_batch(rng, m, dim)
-        v = _haar_batch(rng, m, dim)
+        u = haar_unitaries(rng, m, dim)
+        v = haar_unitaries(rng, m, dim)
         x = _sample_x_near(rng, u @ v)
-        bound = _bound_from_block_norm(_top_sv(_block_unitmult(u, x, v)))
-        target = _top_sv(x - u @ v)
+        bound = _bound_from_block_norm(top_singular_values(_block_unitmult(u, x, v)))
+        target = top_singular_values(x - u @ v)
         margins = bound - target
         j = int(margins.argmin())
         if margins[j] < worst:
@@ -192,8 +180,8 @@ def verify_unitmult(dim: int, trials: int = 10_000, seed: int = 0,
     if adversarial:
         starts = [worst_cfg]
         for _ in range(5):
-            uu = _haar_batch(rng, 1, dim)[0]
-            vv = _haar_batch(rng, 1, dim)[0]
+            uu = haar_unitary(rng, dim)
+            vv = haar_unitary(rng, dim)
             xx = uu @ vv + 0.05 * (rng.standard_normal((dim, dim))
                                    + 1j * rng.standard_normal((dim, dim)))
             starts.append((uu, xx, vv))
@@ -228,7 +216,7 @@ def verify_norm_gap(g: FiniteGroup, t: IrrepTable, random_trials: int = 10_000,
     values = np.zeros(n ** 4)
     for mats in stacks:
         combo = mats[q1] + mats[q2] - mats[q3] - mats[q4]
-        values = np.maximum(values, _top_sv(combo))
+        values = np.maximum(values, top_singular_values(combo))
     zero_mask = ((q1 == q3) & (q2 == q4)) | ((q1 == q4) & (q2 == q3))
     zero_max = float(values[zero_mask].max())
     nonzero_min = float(values[~zero_mask].min())
@@ -257,7 +245,7 @@ def verify_norm_gap(g: FiniteGroup, t: IrrepTable, random_trials: int = 10_000,
             coeffs[i, support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         norms = np.zeros(m)
         for mats in stacks:
-            norms = np.maximum(norms, _top_sv(np.einsum("ng,gab->nab", coeffs, mats)))
+            norms = np.maximum(norms, top_singular_values(np.einsum("ng,gab->nab", coeffs, mats)))
         lower = np.sqrt((np.abs(coeffs) ** 2).sum(axis=1))
         margins = norms - lower
         j = int(margins.argmin())

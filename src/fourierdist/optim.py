@@ -22,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# initial ascent step size and the cap on exact polish rounds per restart
+STEP = 0.1
+POLISH_ROUNDS = 60
+
+
 @dataclass(frozen=True)
 class Effort:
     """Optimizer budget; larger budgets only extend the candidate set."""
@@ -29,8 +34,6 @@ class Effort:
     restarts: int = 64
     iterations: int = 500
     samples: int = 100_000
-    polish_rounds: int = 60
-    step: float = 0.1
 
     def for_scan(self) -> Effort:
         """Reduced per-item budget used inside exhaustive bijection scans."""
@@ -38,8 +41,6 @@ class Effort:
             restarts=max(3, self.restarts // 16),
             iterations=min(self.iterations, 80),
             samples=max(1024, self.samples // 64),
-            polish_rounds=self.polish_rounds,
-            step=self.step,
         )
 
 
@@ -62,13 +63,28 @@ def resolve_effort(effort) -> Effort:
                          f"{sorted(EFFORT_PRESETS)} or an Effort instance")
 
 
-def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed unitary from the QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def haar_unitaries(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """m Haar-distributed d x d unitaries, shape (m, d, d), from the QR of
+    complex Ginibre matrices with the phases of diag(R) moved into Q."""
+    # filled in place: bit-identical to (re + 1j im) / sqrt(2), without temporaries
+    z = np.empty((m, d, d), dtype=complex)
+    z.real = rng.standard_normal((m, d, d))
+    z.imag = rng.standard_normal((m, d, d))
+    z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    ph = np.einsum("nii->ni", r).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]
+
+
+def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """One Haar-distributed d x d unitary."""
+    return haar_unitaries(rng, 1, d)[0]
+
+
+def top_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of shape (..., m, n)."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def top_singular_value(m: np.ndarray) -> float:
@@ -189,10 +205,17 @@ def _objective(blocks: list[np.ndarray]) -> float:
     return max(top_singular_value(blk) for blk in blocks)
 
 
-def _gradient(linmap: BlockLinearMap, idx: int, u: np.ndarray, v: np.ndarray):
-    seed_blocks = [np.zeros((linmap.k * d,) * 2, dtype=complex) for d in linmap.dims_out]
+def _gradient(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.ndarray):
+    """L^*(u v^*): the gradient of Re <u, L(x)_idx v> for the image y = L(x)."""
+    seed_blocks = [np.zeros(b.shape, dtype=complex) for b in y]
     seed_blocks[idx] = np.outer(u, v.conj())
-    return linmap.adjoint(seed_blocks)
+    return adjoint(seed_blocks)
+
+
+def _polish_step(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.ndarray):
+    """Polar factors of the gradient: the maximizer of the linearization at y
+    over the unit polyball (a positive factor per gradient block is harmless)."""
+    return [polar_factor(gb) for gb in _gradient(adjoint, y, idx, u, v)]
 
 
 def _ascend(linmap: BlockLinearMap, start: list[np.ndarray], effort: Effort):
@@ -201,10 +224,10 @@ def _ascend(linmap: BlockLinearMap, start: list[np.ndarray], effort: Effort):
     y = linmap.apply(x)
     val, idx, u, v = _best_block(y)
     best_val, best_x = val, [b.copy() for b in x]
-    step = effort.step
+    step = STEP
     stall = 0
     for _ in range(effort.iterations):
-        grad = _gradient(linmap, idx, u, v)
+        grad = _gradient(linmap.adjoint, y, idx, u, v)
         accepted = False
         for _ in range(3):
             x_try = [clip_to_ball(xb + step * gb) for xb, gb in zip(x, grad)]
@@ -229,12 +252,13 @@ def _ascend(linmap: BlockLinearMap, start: list[np.ndarray], effort: Effort):
             break
     # alternating exact phase: maximize the current linearization in closed form
     x = best_x
-    val, idx, u, v = _best_block(linmap.apply(x))
+    y = linmap.apply(x)
+    val, idx, u, v = _best_block(y)
     stall = 0
-    for _ in range(effort.polish_rounds):
-        grad = _gradient(linmap, idx, u, v)
-        x = [polar_factor(gb) for gb in grad]
-        val, idx, u, v = _best_block(linmap.apply(x))
+    for _ in range(POLISH_ROUNDS):
+        x = _polish_step(linmap.adjoint, y, idx, u, v)
+        y = linmap.apply(x)
+        val, idx, u, v = _best_block(y)
         if val > best_val + 1e-14:
             best_val, best_x = val, [b.copy() for b in x]
             stall = 0
@@ -254,16 +278,9 @@ def _sample_oracle(linmap: BlockLinearMap, total: int, seed: int):
     while done < total:
         m = min(chunk, total - done)
         rng = np.random.default_rng([seed, 90_000 + ci])
-        stacks = []
-        for d in linmap.dims_in:
-            dd = linmap.k * d
-            z = (rng.standard_normal((m, dd, dd)) + 1j * rng.standard_normal((m, dd, dd)))
-            q, r = np.linalg.qr(z)
-            ph = np.einsum("nii->ni", r).copy()
-            ph /= np.abs(ph)
-            stacks.append(q * ph[:, None, :])
+        stacks = [haar_unitaries(rng, m, linmap.k * d) for d in linmap.dims_in]
         images = linmap.apply_batch(stacks)
-        norms = np.stack([np.linalg.svd(img, compute_uv=False)[:, 0] for img in images])
+        norms = np.stack([top_singular_values(img) for img in images])
         vals = norms.max(axis=0)
         j = int(vals.argmax())
         if vals[j] > best_val:
@@ -275,7 +292,7 @@ def _sample_oracle(linmap: BlockLinearMap, total: int, seed: int):
 
 
 def maximize_block_image(linmap: BlockLinearMap, effort: Effort, seed: int = 0,
-                         extra_starts: tuple = (), use_sampling: bool = True):
+                         extra_starts: tuple = ()):
     """Best feasible witness found for sup ||L(X)|| over the unit polyball.
 
     Returns (value, witness_blocks, meta).  The identity tuple is always one
@@ -305,10 +322,10 @@ def maximize_block_image(linmap: BlockLinearMap, effort: Effort, seed: int = 0,
     meta = {
         "restarts": effort.restarts,
         "iterations": effort.iterations,
-        "samples": effort.samples if use_sampling else 0,
+        "samples": effort.samples,
         "converged": True,
     }
-    if use_sampling and effort.samples > 0:
+    if effort.samples > 0:
         s_val, s_x = _sample_oracle(linmap, effort.samples, seed)
         meta["sampling_value"] = s_val
         if s_val > best_val:

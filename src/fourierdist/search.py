@@ -36,17 +36,22 @@ def enumerate_bijections(g: FiniteGroup, h: FiniteGroup, canonical: bool = True,
     """Yield bijections t : h -> g (index maps into g).
 
     Exhaustive for orders <= 8; beyond that a seeded random sample of
-    ``sample_size`` identity-fixing maps is produced instead.  With
-    ``canonical`` the identity is fixed (justified by translation invariance
-    of every computed norm); ``aut_reduce`` additionally keeps only the
-    lexicographically smallest representative of each orbit under
-    Aut(g) x Aut(h).
+    ``sample_size`` distinct maps is produced instead, with 1 <= sample_size
+    <= (n-1)! (n! when not ``canonical``).  With ``canonical`` the identity
+    is fixed (justified by translation invariance of every computed norm);
+    ``aut_reduce`` additionally keeps only the lexicographically smallest
+    representative of each orbit under Aut(g) x Aut(h).
     """
     if g.order != h.order:
         raise GroupMismatchError("bijections need groups of equal order")
     n = g.order
     if aut_reduce and not canonical:
         raise ValueError("aut_reduce requires canonical enumeration")
+    if n > EXHAUSTIVE_ORDER_LIMIT:
+        available = math.factorial(n - 1 if canonical else n)
+        if not 1 <= sample_size <= available:
+            raise ValueError(f"sample_size must lie between 1 and {available}, the number "
+                             f"of maps at order {n}; got {sample_size}")
     auts_g = automorphisms(g) if aut_reduce else None
     auts_h = automorphisms(h) if aut_reduce else None
 

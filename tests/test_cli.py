@@ -157,6 +157,13 @@ def test_usage_errors(capsys):
                  "--bijection", "0,1,2,3,4,5"]) == 2
 
 
+def test_scan_sample_size_out_of_range(capsys):
+    for size in ("0", str(math.factorial(8) + 1)):
+        assert main(["scan", "--source", "Z9", "--target", "Z3xZ3",
+                     "--sample-size", size]) == 2
+    assert "sample_size" in capsys.readouterr().err
+
+
 def test_reproduce_command(capsys):
     code, data = run_json(capsys, "reproduce", "--effort", "low")
     assert code == 0

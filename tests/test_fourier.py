@@ -219,6 +219,15 @@ def test_vn_block_round_trip(s3, tables):
     blocks = fd.vn_blocks(x, t)
     back = fd.vn_element_from_blocks(t, blocks)
     assert np.abs(back.coeffs - x.coeffs).max() < 1e-12
+    # the level-k transform pair inverts itself on each non-abelian group of order <= 8
+    for label in ("S3", "D4", "Q8"):
+        t = tables[label]
+        n = t.group.order
+        for k in (1, 2, 3):
+            c = rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k))
+            blocks = fd.blocks_from_coeffs(t, c)
+            assert [b.shape for b in blocks] == [(k * d, k * d) for d in t.dims]
+            assert np.abs(fd.coeffs_from_blocks(t, blocks) - c).max() < 1e-12
 
 
 def test_fourier_inverse_rejects_bad_shapes(s3, tables):

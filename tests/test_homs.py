@@ -206,6 +206,24 @@ def test_jordan_defect_of_worked_pair(z6_s3_hom):
     assert fd.jordan_defect(z6_s3_hom, samples=64) >= SQRT2 - 1e-6
 
 
+@pytest.mark.parametrize("pair, bound", [
+    (("Z6", "S3", False), 4.0),
+    (("D4", "Q8", True), 6.1861204783),
+])
+def test_jordan_refinement_raises_the_defect(pair, bound):
+    # the alternating polish of the best candidate pairs reaches these values;
+    # the basis and random pairs alone stop at 2 sqrt(3) and about 4.6603
+    source, target, inverse = pair
+    g, h = (fd.parse_group_spec(s) for s in (source, target))
+    hom = fd.induced_hom(fd.irrep_table_for(g), fd.irrep_table_for(h), np.arange(g.order))
+    if inverse:
+        hom = hom.inverse()
+    unrefined = fd.jordan_defect(hom, refine_rounds=0)
+    refined = fd.jordan_defect(hom)
+    assert refined >= bound - 1e-9
+    assert refined > unrefined + 1e-3
+
+
 def test_jordan_dichotomy_on_basis_pairs(z6_s3_hom, s3):
     from fourierdist.homs import _jordan_coeffs, _vn_norm_coeffs
     hom = z6_s3_hom

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
-from fourierdist.lemmas import (_block_invmult, _block_unitmult, _haar_batch,
-                                _top_sv, _bound_from_block_norm)
+from fourierdist.lemmas import _block_invmult, _block_unitmult, _bound_from_block_norm
+from fourierdist.optim import haar_unitaries, top_singular_values
 
 from conftest import FAST_EFFORT
 
@@ -14,22 +14,36 @@ SQRT2 = math.sqrt(2.0)
 
 def test_haar_sampling_sanity():
     rng = np.random.default_rng(0)
-    batch = _haar_batch(rng, 64, 5)
+    batch = haar_unitaries(rng, 64, 5)
     for u in batch:
         assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-10
     single = fd.haar_unitary(rng, 7)
     assert np.abs(single @ single.conj().T - np.eye(7)).max() < 1e-10
 
 
+def test_haar_unitary_is_a_batch_of_one():
+    # one sampler: a single draw is bit-equal to a batch of one on the same
+    # stream, and to the QR of the Ginibre matrix (re + 1j im) / sqrt(2)
+    for d in (1, 2, 3, 5, 8):
+        single = fd.haar_unitary(np.random.default_rng([d, 3]), d)
+        batch = haar_unitaries(np.random.default_rng([d, 3]), 1, d)
+        assert batch.shape == (1, d, d)
+        assert np.array_equal(single, batch[0])
+        rng = np.random.default_rng([d, 3])
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        assert np.array_equal(single, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
 def test_invmult_equality_configuration():
     # x = u*: the block has norm exactly sqrt(2), c = 1, bound and margin 0
     rng = np.random.default_rng(1)
-    u = _haar_batch(rng, 8, 3)
+    u = haar_unitaries(rng, 8, 3)
     x = np.conj(np.transpose(u, (0, 2, 1)))
-    norms = _top_sv(_block_invmult(u, x))
+    norms = top_singular_values(_block_invmult(u, x))
     assert np.abs(norms - SQRT2).max() < 1e-12
     bounds = _bound_from_block_norm(norms)
-    targets = _top_sv(x - np.conj(np.transpose(u, (0, 2, 1))))
+    targets = top_singular_values(x - np.conj(np.transpose(u, (0, 2, 1))))
     assert np.abs(bounds - targets).max() < 1e-6
 
 
@@ -39,12 +53,12 @@ def test_invmult_perturbation_sweep():
     for eps in (0.1, 0.01, 0.001):
         worst = np.inf
         for _ in range(50):
-            u = _haar_batch(rng, 1, 4)
+            u = haar_unitaries(rng, 1, 4)
             v = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
             v /= np.linalg.svd(v[0], compute_uv=False)[0]
             x = np.conj(np.transpose(u, (0, 2, 1))) + eps * v
-            margin = float((_bound_from_block_norm(_top_sv(_block_invmult(u, x)))
-                            - _top_sv(x - np.conj(np.transpose(u, (0, 2, 1)))))[0])
+            margin = float((_bound_from_block_norm(top_singular_values(_block_invmult(u, x)))
+                            - top_singular_values(x - np.conj(np.transpose(u, (0, 2, 1)))))[0])
             worst = min(worst, margin)
         margins.append(worst)
         assert worst >= -1e-9
@@ -76,10 +90,10 @@ def test_verify_unitmult_small_runs():
 
 def test_unitmult_equality_and_reduction():
     rng = np.random.default_rng(3)
-    u = _haar_batch(rng, 4, 3)
-    v = _haar_batch(rng, 4, 3)
+    u = haar_unitaries(rng, 4, 3)
+    v = haar_unitaries(rng, 4, 3)
     x = u @ v
-    norms = _top_sv(_block_unitmult(u, x, v))
+    norms = top_singular_values(_block_unitmult(u, x, v))
     assert np.abs(norms - SQRT2).max() < 1e-12
     # with u = v = 1 and Hermitian x, the block norm coincides with the
     # inverse-style block [[1,1],[-1,x]]
@@ -87,8 +101,8 @@ def test_unitmult_equality_and_reduction():
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         h = (h + h.conj().T) / 2
         eye = np.broadcast_to(np.eye(3, dtype=complex), (1, 3, 3))
-        c_unit = _top_sv(_block_unitmult(eye, h[None], eye))[0]
-        c_inv = _top_sv(_block_invmult(eye, h[None]))[0]
+        c_unit = top_singular_values(_block_unitmult(eye, h[None], eye))[0]
+        c_inv = top_singular_values(_block_invmult(eye, h[None]))[0]
         assert abs(c_unit - c_inv) < 1e-10
 
 

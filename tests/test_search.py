@@ -50,6 +50,26 @@ def test_enumeration_sampling_fallback():
     assert all(b.map[0] == 0 for b in sample)
 
 
+def test_enumeration_rejects_sample_size_out_of_range():
+    # a sample larger than the (n-1)! canonical maps used to loop forever, and
+    # an empty one made the scans fail on min() of nothing; both are refused
+    # before any map is drawn
+    z9, z33 = fd.make_cyclic(9), fd.parse_group_spec("Z3xZ3")
+    for size in (0, -1, math.factorial(8) + 1):
+        with pytest.raises(ValueError, match="sample_size"):
+            next(fd.enumerate_bijections(z9, z33, sample_size=size))
+    with pytest.raises(ValueError, match="sample_size"):
+        next(fd.enumerate_bijections(z9, z33, canonical=False,
+                                     sample_size=math.factorial(9) + 1))
+    with pytest.raises(ValueError, match="sample_size"):
+        fd.min_distortion(z9, z33, sample_size=0)
+    first = next(fd.enumerate_bijections(z9, z33, sample_size=math.factorial(8)))
+    assert first.map[0] == 0
+    # exhaustive orders ignore the sample size
+    assert len(list(fd.enumerate_bijections(fd.make_cyclic(4), fd.make_cyclic(4),
+                                            sample_size=0))) == 6
+
+
 def test_min_distortion_isomorphic_pair():
     z6 = fd.make_cyclic(6)
     result = fd.min_distortion(z6, z6, effort=FAST_EFFORT)
