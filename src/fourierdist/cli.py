@@ -33,11 +33,6 @@ EXIT_SIZE = 3
 EXIT_NUMERIC = 4
 
 
-def _default_effort() -> str:
-    effort = os.environ.get("FD_EFFORT", "default")
-    return effort if effort in EFFORT_PRESETS else "default"
-
-
 def _emit(data: dict, fmt: str, out: str | None, text_renderer) -> None:
     if fmt == "json":
         payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -170,7 +165,7 @@ def cmd_homnorm(args) -> int:
                                "Tinv": report.optimizer_meta[k][1]}
                       for k in sorted(report.optimizer_meta)},
         "seed": args.seed,
-        "effort": args.effort if isinstance(args.effort, str) else "custom",
+        "effort": args.effort,
     }
 
     def render(d):
@@ -299,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "between Fourier algebras of finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, effort=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--effort", default=_default_effort(),
-                       choices=list(EFFORT_PRESETS))
+        if effort:
+            # an unknown FD_EFFORT is rejected where the effort is resolved
+            p.add_argument("--effort", default=os.environ.get("FD_EFFORT", "default"),
+                           choices=list(EFFORT_PRESETS))
         p.add_argument("--format", default="text", choices=["json", "text"])
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="bound on parallel work items")
 
     p = sub.add_parser("reproduce", help="recompute all bundled reference values")
-    common(p)
+    common(p, effort=True)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("irreps", help="irreducible representations of a group")
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("homnorm", help="norms of one bijection-induced isomorphism")
-    common(p)
+    common(p, effort=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--bijection", required=True,
@@ -335,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homnorm)
 
     p = sub.add_parser("scan", help="scan all canonical bijections between two groups")
-    common(p)
+    common(p, effort=True)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the scanned maps")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--level", type=int, default=2, choices=[1, 2])

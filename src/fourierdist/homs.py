@@ -209,6 +209,17 @@ def _abelian_source_norm(hom: InducedHom, k: int) -> NormEstimate:
     return NormEstimate(value=_witness_value(hom, witness), witness=witness, meta=meta)
 
 
+def _level_sweep(hom: InducedHom, levels, eff, seed: int) -> list[NormEstimate]:
+    """level_k_norm at each level in increasing order, seeded by the previous
+    level's witness.  The lifted witness attains the previous value, so the
+    values are nondecreasing."""
+    estimates: list[NormEstimate] = []
+    for k in levels:
+        hints = (estimates[-1].witness,) if estimates else ()
+        estimates.append(level_k_norm(hom, k, effort=eff, seed=seed, hints=hints))
+    return estimates
+
+
 def op_norm(hom: InducedHom, effort="default", seed: int = 0) -> NormEstimate:
     """||T|| = ||T*||, as a certified lower bound with witness."""
     return level_k_norm(hom, 1, effort=effort, seed=seed)
@@ -232,34 +243,33 @@ def cb_norm(hom: InducedHom, effort="default", seed: int = 0) -> CbNormResult:
     m = int(sum(hom.source_table.dims))
     if m > CB_LEVEL_LIMIT:
         raise SizeLimitError(f"stabilization level {m} exceeds the cap {CB_LEVEL_LIMIT}")
-    eff = resolve_effort(effort)
-    levels = []
-    hints: tuple[Witness, ...] = ()
-    best: NormEstimate | None = None
-    for k in range(1, m + 1):
-        est = level_k_norm(hom, k, effort=eff, seed=seed, hints=hints)
-        levels.append((k, est.value))
-        hints = (est.witness,)
-        best = est
-    return CbNormResult(value=levels[-1][1], levels=levels, witness=best.witness,
-                        meta=best.meta)
+    estimates = _level_sweep(hom, range(1, m + 1), resolve_effort(effort), seed)
+    return CbNormResult(value=estimates[-1].value,
+                        levels=[(k, est.value) for k, est in enumerate(estimates, start=1)],
+                        witness=estimates[-1].witness, meta=estimates[-1].meta)
 
 
-def _convolve(group: FiniteGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient convolution: lambda_g lambda_h = lambda_{gh}."""
-    out = np.zeros(group.order, dtype=complex)
-    for g in range(group.order):
-        if a[g] != 0:
-            out[group.table[g]] += a[g] * b
-    return out
+def _conv_sum_matrix(group: FiniteGroup, b: np.ndarray) -> np.ndarray:
+    """Matrix of c -> c b + b c on coefficients: lambda_g lambda_h = lambda_{gh}."""
+    n = group.order
+    right = np.zeros((n, n), dtype=complex)
+    left = np.zeros((n, n), dtype=complex)
+    cols = np.arange(n)
+    right[group.table, cols[:, None]] = b[None, :]    # column g: e_g b
+    left[group.table, cols[None, :]] = b[:, None]     # column h: b e_h
+    return right + left
+
+
+def _jordan_operator(hom: InducedHom, b: np.ndarray) -> np.ndarray:
+    """The n x n matrix J(b) with J(b) a = D(a, b), the coefficients over G of
+    T*(ab) + T*(ba) - T*(a)T*(b) - T*(b)T*(a).  D is symmetric in a and b."""
+    return (_push(hom, _conv_sum_matrix(hom.target_group, b))
+            - _conv_sum_matrix(hom.source_group, _push(hom, b))[:, hom.bijection.map])
 
 
 def _jordan_coeffs(hom: InducedHom, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients over G of T*(ab) + T*(ba) - T*(a)T*(b) - T*(b)T*(a)."""
-    h_group, g_group = hom.target_group, hom.source_group
-    pa, pb = _push(hom, a), _push(hom, b)
-    return (_push(hom, _convolve(h_group, a, b)) + _push(hom, _convolve(h_group, b, a))
-            - _convolve(g_group, pa, pb) - _convolve(g_group, pb, pa))
+    return _jordan_operator(hom, b) @ a
 
 
 def _vn_norm_coeffs(table: IrrepTable, coeffs: np.ndarray) -> float:
@@ -306,18 +316,6 @@ def _random_unitary_element(table: IrrepTable, rng: np.random.Generator) -> np.n
                                       for rep in table.irreps])[:, 0, 0]
 
 
-def _conv_matrices(group: FiniteGroup, b: np.ndarray):
-    """Matrices of c -> conv(c, b) and c -> conv(b, c)."""
-    n = group.order
-    right = np.zeros((n, n), dtype=complex)
-    left = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        right[group.table[g], g] = b          # column g: e_g * b
-    for h in range(n):
-        left[group.table[:, h], h] = b        # column h: b * e_h
-    return right, left
-
-
 def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
                         rounds: int) -> float:
     """Alternating exact ascent of the defect over the two unit balls.
@@ -326,16 +324,9 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
     the optimizer's polish step in block coordinates.
     """
     h_table, g_table = hom.target_table, hom.source_table
-    h_group, g_group = hom.target_group, hom.source_group
-    n = h_group.order
-    tmap = hom.bijection.map
-    perm = np.zeros((n, n), dtype=complex)
-    perm[tmap, np.arange(n)] = 1.0
 
     def half_step(fixed, var):
-        right_h, left_h = _conv_matrices(h_group, fixed)
-        right_g, left_g = _conv_matrices(g_group, perm @ fixed)
-        lin = perm @ (right_h + left_h) - (right_g + left_g) @ perm
+        lin = _jordan_operator(hom, fixed)
 
         def adjoint(seed_blocks):
             # the seed has one nonzero block, so this is the adjoint of
@@ -367,47 +358,42 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class HomNormReport:
-    """Norms of T and T^{-1}, amplified norms, distortion, and witnesses."""
+    """Amplified norms of T and T^{-1} by level, with witnesses; ||T||,
+    ||T^{-1}|| and the distortion are read from level 1."""
 
-    norm_T: float
-    norm_Tinv: float
     level_k_norms: dict[int, tuple[float, float]]
-    distortion: float
     witnesses: dict
     optimizer_meta: dict
+
+    @property
+    def norm_T(self) -> float:
+        return self.level_k_norms[1][0]
+
+    @property
+    def norm_Tinv(self) -> float:
+        return self.level_k_norms[1][1]
+
+    @property
+    def distortion(self) -> float:
+        return self.norm_T * self.norm_Tinv
 
 
 def hom_norm_report(hom: InducedHom, levels=(1, 2), effort="default",
                     seed: int = 0) -> HomNormReport:
     """Compute ||T||, ||T^{-1}||, the requested amplified norms and distortion.
 
-    Witnesses from lower levels seed the higher levels, so the reported
+    Each level is seeded by the previous level's witness, so the reported
     level-k values are nondecreasing in k.
     """
     eff = resolve_effort(effort)
-    inv = hom.inverse()
     levels = sorted(set(int(k) for k in levels) | {1})
-    level_norms: dict[int, tuple[float, float]] = {}
-    witnesses: dict = {}
-    meta: dict = {}
-    hints_f: tuple[Witness, ...] = ()
-    hints_i: tuple[Witness, ...] = ()
-    for k in levels:
-        est_f = level_k_norm(hom, k, effort=eff, seed=seed, hints=hints_f)
-        est_i = level_k_norm(inv, k, effort=eff, seed=seed, hints=hints_i)
-        level_norms[k] = (est_f.value, est_i.value)
-        hints_f += (est_f.witness,)
-        hints_i += (est_i.witness,)
-        witnesses[k] = (est_f.witness, est_i.witness)
-        meta[k] = (est_f.meta, est_i.meta)
-    norm_t, norm_tinv = level_norms[1]
+    forward = _level_sweep(hom, levels, eff, seed)
+    backward = _level_sweep(hom.inverse(), levels, eff, seed)
+    pairs = dict(zip(levels, zip(forward, backward)))
     return HomNormReport(
-        norm_T=norm_t,
-        norm_Tinv=norm_tinv,
-        level_k_norms=level_norms,
-        distortion=norm_t * norm_tinv,
-        witnesses=witnesses,
-        optimizer_meta=meta,
+        level_k_norms={k: (f.value, i.value) for k, (f, i) in pairs.items()},
+        witnesses={k: (f.witness, i.witness) for k, (f, i) in pairs.items()},
+        optimizer_meta={k: (f.meta, i.meta) for k, (f, i) in pairs.items()},
     )
 
 
@@ -441,12 +427,8 @@ def transport_report(hom: InducedHom, report: HomNormReport, alpha: np.ndarray,
         w_i, v_i = move(inverse, moved_inverse, w_i, alpha_inv)
         level_norms[k] = (v_f, v_i)
         witnesses[k] = (w_f, w_i)
-    norm_t, norm_tinv = level_norms[1]
     return HomNormReport(
-        norm_T=norm_t,
-        norm_Tinv=norm_tinv,
         level_k_norms=level_norms,
-        distortion=norm_t * norm_tinv,
         witnesses=witnesses,
         optimizer_meta={k: tuple(dict(m) for m in metas)
                         for k, metas in report.optimizer_meta.items()},

@@ -13,7 +13,6 @@ detected by the validation pass and retried with a fresh seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np

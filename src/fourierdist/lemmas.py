@@ -76,7 +76,8 @@ def _adversarial_descent(build_block, target_of, u_list, x_list, extra, iters=60
     """Subgradient descent on the margin, seeking a violation.
 
     build_block(u, x, extra) -> 2d x 2d matrix; target_of(u, x, extra) -> the
-    matrix whose norm the lemma bounds.  Returns the smallest margin reached.
+    matrix whose norm the lemma bounds.  Returns the smallest margin reached
+    and the configuration (u, x, extra) reaching it.
     """
     worst = np.inf
     worst_cfg = None
@@ -95,7 +96,7 @@ def _adversarial_descent(build_block, target_of, u_list, x_list, extra, iters=60
             margin = bound - ds[0]
             if margin < worst:
                 worst = margin
-                worst_cfg = (u.copy(), x.copy())
+                worst_cfg = (u.copy(), x.copy(), ex)
             # gradient of (target - bound) with respect to x
             g_target = np.outer(du[:, 0], dvh[0])
             g_block = np.outer(bu[:, 0], bvh[0])[d:, d:]
@@ -191,8 +192,7 @@ def verify_unitmult(dim: int, trials: int = 10_000, seed: int = 0,
             [s[0] for s in starts], [s[1] for s in starts], [s[2] for s in starts])
         meta["worst_margin_adversarial"] = adv_worst
         if adv_worst < worst:
-            worst = adv_worst
-            worst_cfg = (adv_cfg[0], adv_cfg[1], None)
+            worst, worst_cfg = adv_worst, adv_cfg
     counterexample = None
     if worst < -MARGIN_TOL:
         counterexample = {"u": worst_cfg[0], "x": worst_cfg[1], "v": worst_cfg[2]}

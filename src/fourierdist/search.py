@@ -12,6 +12,7 @@ over to the rest of the orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -129,15 +130,6 @@ def _scan_one(g: FiniteGroup, h: FiniteGroup, mapping, levels, eff, seed):
     return BijectionRecord(bijection=bij, report=report)
 
 
-def _scan_worker(payload):
-    from .groups import group_from_json
-    g = group_from_json(payload["g"])
-    h = group_from_json(payload["h"])
-    rec = _scan_one(g, h, payload["map"], payload["levels"], payload["eff"],
-                    payload["seed"])
-    return rec
-
-
 def _orbit_transports(g: FiniteGroup, h: FiniteGroup, maps):
     """Orbit representatives of the canonical maps under Aut(g) x Aut(h).
 
@@ -176,11 +168,10 @@ def _scan(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
         computed = [_scan_one(g, h, mp, levels, eff, seed) for mp in reps]
     else:
         import concurrent.futures
-        payloads = [{"g": g.to_json(), "h": h.to_json(), "map": mp.tolist(),
-                     "levels": levels, "eff": eff, "seed": seed} for mp in reps]
+        worker = functools.partial(_scan_one, g, h, levels=levels, eff=eff, seed=seed)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(payloads) // (4 * jobs))
-            computed = list(pool.map(_scan_worker, payloads, chunksize=chunk))
+            chunk = max(1, len(reps) // (4 * jobs))
+            computed = list(pool.map(worker, reps, chunksize=chunk))
     if transports is None:
         return computed
     tables = {"source_table": irrep_table_for(g), "target_table": irrep_table_for(h)}

@@ -219,3 +219,18 @@ def test_scan_json_trust_keys(capsys):
             assert rec["converged"][level]["T"] is True
         assert len(rec["orbit"].split(",")) == 6
     assert len({rec["orbit"] for rec in data["records"]}) == 12
+
+
+def test_options_only_where_read(capsys):
+    # --jobs is read by scan alone and --effort only where an effort is resolved
+    assert main(["irreps", "--group", "S3", "--jobs", "2"]) == 2
+    assert main(["norm", "--group", "S3", "--effort", "low",
+                 "--fourier-coeffs", "1,0,0,0,0,0"]) == 2
+
+
+def test_unknown_fd_effort_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FD_EFFORT", "hgih")
+    code = main(["homnorm", "--source", "Z4", "--target", "Z2xZ2",
+                 "--bijection", "0,1,2,3"])
+    assert code == 2
+    assert "hgih" in capsys.readouterr().err

@@ -167,6 +167,27 @@ def test_cb_norm_of_worked_pair(z6_s3_hom):
     assert values[1] >= SQRT2 - 1e-9
 
 
+def test_cb_norm_shares_the_level_sweep(z6_s3_hom, monkeypatch):
+    # cb_norm and hom_norm_report run the same sweep: equal values at levels
+    # 1 and 2 for the same effort and seed, and a bit-equal level-2 witness
+    inv = z6_s3_hom.inverse()
+    estimates = []
+
+    def recording(*args, **kwargs):
+        est = fd.level_k_norm(*args, **kwargs)
+        estimates.append(est)
+        return est
+
+    monkeypatch.setattr(homs_module, "level_k_norm", recording)
+    result = fd.cb_norm(inv, effort=FAST_EFFORT, seed=5)
+    cb_level2 = estimates[1]
+    report = fd.hom_norm_report(inv, levels=(1, 2), effort=FAST_EFFORT, seed=5)
+    assert result.levels[:2] == [(k, report.level_k_norms[k][0]) for k in (1, 2)]
+    assert cb_level2.witness.level == 2
+    for a, b in zip(cb_level2.witness.blocks, report.witnesses[2][0].blocks):
+        assert np.array_equal(a, b)
+
+
 def test_cb_norm_size_limit():
     z16 = fd.make_cyclic(16)
     t16 = fd.irrep_table_for(z16)
@@ -181,23 +202,26 @@ def test_jordan_defect_of_isomorphism(z6):
     assert fd.jordan_defect(hom, samples=32) < 1e-8
 
 
-def test_jordan_defect_basis_pair_formula(z6_s3_hom, z6, s3):
-    # on a pair (h, h^{-1}) the defect term is the norm of
-    # 2 lambda_e - lambda_{t(h) t(h^-1)} - lambda_{t(h^-1) t(h)}
-    from fourierdist.homs import _jordan_coeffs, _vn_norm_coeffs
-    hom = z6_s3_hom
-    t6 = hom.source_table
-    tmap = hom.bijection.map
-    for h in range(6):
-        hinv = s3.inv(h)
-        a = np.zeros(6, dtype=complex); a[h] = 1
-        b = np.zeros(6, dtype=complex); b[hinv] = 1
-        direct = np.zeros(6, dtype=complex)
-        direct[0] += 2
-        direct[z6.mult(int(tmap[h]), int(tmap[hinv]))] -= 1
-        direct[z6.mult(int(tmap[hinv]), int(tmap[h]))] -= 1
-        assert abs(_vn_norm_coeffs(t6, _jordan_coeffs(hom, a, b))
-                   - _vn_norm_coeffs(t6, direct)) < 1e-12
+def test_jordan_defect_basis_pair_formula():
+    # on the basis pair (h1, h2) the defect coefficients are the four deltas
+    # e_{t(h1 h2)} + e_{t(h2 h1)} - e_{t(h1) t(h2)} - e_{t(h2) t(h1)}
+    from fourierdist.homs import _jordan_coeffs
+    for source, target, inverse in (("Z6", "S3", False), ("D4", "Q8", True)):
+        g, h = (fd.parse_group_spec(s) for s in (source, target))
+        hom = fd.induced_hom(fd.irrep_table_for(g), fd.irrep_table_for(h),
+                             np.arange(g.order))
+        if inverse:
+            hom = hom.inverse()
+        g, h = hom.source_group, hom.target_group
+        tmap = hom.bijection.map
+        eye = np.eye(h.order, dtype=complex)
+        for h1, h2 in itertools.product(range(h.order), repeat=2):
+            direct = np.zeros(g.order, dtype=complex)
+            direct[tmap[h.mult(h1, h2)]] += 1
+            direct[tmap[h.mult(h2, h1)]] += 1
+            direct[g.mult(int(tmap[h1]), int(tmap[h2]))] -= 1
+            direct[g.mult(int(tmap[h2]), int(tmap[h1]))] -= 1
+            assert np.abs(_jordan_coeffs(hom, eye[h1], eye[h2]) - direct).max() < 1e-12
 
 
 def test_jordan_defect_of_worked_pair(z6_s3_hom):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
-from fourierdist.lemmas import _block_invmult, _block_unitmult, _bound_from_block_norm
+from fourierdist.lemmas import (_adversarial_descent, _block_invmult, _block_unitmult,
+                               _bound_from_block_norm)
 from fourierdist.optim import haar_unitaries, top_singular_values
 
 from conftest import FAST_EFFORT
@@ -86,6 +87,22 @@ def test_verify_unitmult_small_runs():
         assert report.counterexample is None
         assert report.meta["worst_margin_adversarial"] \
             <= report.meta["worst_margin_random"] + 1e-12
+
+
+def test_adversarial_descent_keeps_v():
+    # the worst configuration carries v, so a unitmult counterexample found by
+    # the descent can be re-checked from the report alone
+    rng = np.random.default_rng(4)
+    u, v = haar_unitaries(rng, 2, 3)
+    x = u @ v + 0.05 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    worst, cfg = _adversarial_descent(
+        lambda u_, x_, v_: _block_unitmult(u_[None], x_[None], v_[None])[0],
+        lambda u_, x_, v_: x_ - u_ @ v_, [u], [x], [v])
+    cu, cx, cv = cfg
+    assert np.array_equal(cv, v)
+    block_norm = top_singular_values(_block_unitmult(cu[None], cx[None], cv[None]))
+    margin = _bound_from_block_norm(block_norm)[0] - top_singular_values(cx - cu @ cv)
+    assert abs(margin - worst) < 1e-12
 
 
 def test_unitmult_equality_and_reduction():
