@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, NumericInputError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _ReadOnlyArrays
 from .irreps import IrrepTable
 from .optim import polar_factor
 
 
 @dataclass(frozen=True, eq=False)
-class AFunction:
+class AFunction(_ReadOnlyArrays):
     """A complex function on a finite group, i.e. an element of A(G)."""
 
     group: FiniteGroup
@@ -42,7 +42,7 @@ class AFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupAlgebraElement:
+class GroupAlgebraElement(_ReadOnlyArrays):
     """Coefficients c_g of an element sum_g c_g lambda_g of VN(G)."""
 
     group: FiniteGroup

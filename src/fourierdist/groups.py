@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,8 +20,17 @@ ISO_ORDER_LIMIT = 24
 SYMMETRIC_DEGREE_LIMIT = 5
 
 
+class _ReadOnlyArrays:
+    """Base of the frozen types whose ``__post_init__`` makes their arrays
+    read-only.  Unpickling (as in a ``--jobs`` worker) would skip
+    ``__post_init__``, so it rebuilds them through ``__init__`` instead."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_ReadOnlyArrays):
     """A finite group given by its Cayley table.
 
     ``table[i, j]`` is the index of the product of elements i and j and
@@ -220,7 +229,7 @@ def make_quaternion() -> FiniteGroup:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupBijection:
+class GroupBijection(_ReadOnlyArrays):
     """A bijection t from a group H onto a group G of the same order.
 
     ``map[h]`` is the index t(h) in G.  The bijection need not respect the

@@ -321,7 +321,8 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
     """Alternating exact ascent of the defect over the two unit balls.
 
     The defect is linear in each argument, c -> lin @ c, so each half step is
-    the optimizer's polish step in block coordinates.
+    the optimizer's polish step in block coordinates.  It returns the new
+    argument and the defect there, read off the same ``lin``.
     """
     h_table, g_table = hom.target_table, hom.source_table
 
@@ -336,7 +337,8 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
 
         y = blocks_from_coeffs(g_table, lin @ var)
         _, idx, u, v = _best_block(y)
-        return coeffs_from_blocks(h_table, _polish_step(adjoint, y, idx, u, v))[:, 0, 0]
+        new = coeffs_from_blocks(h_table, _polish_step(adjoint, y, idx, u, v))[:, 0, 0]
+        return new, _vn_norm_coeffs(g_table, lin @ new)
 
     a, b = a0.copy(), b0.copy()
     best = _vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
@@ -344,10 +346,9 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
         improved = False
         for which in (0, 1):
             if which == 0:
-                a = half_step(b, a)
+                a, val_new = half_step(b, a)
             else:
-                b = half_step(a, b)
-            val_new = _vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
+                b, val_new = half_step(a, b)
             if val_new > best + 1e-13:
                 best = val_new
                 improved = True

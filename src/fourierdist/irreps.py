@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, SizeLimitError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _ReadOnlyArrays
 
 TOL_REP = 1e-8          # invariant-check tolerance after re-unitarization
 CLUSTER_TOL = 1e-6      # relative eigenvalue clustering threshold
@@ -27,7 +27,7 @@ ORDER_LIMIT = 24
 
 
 @dataclass(frozen=True, eq=False)
-class Irrep:
+class Irrep(_ReadOnlyArrays):
     """One irreducible unitary representation.
 
     ``matrices`` has shape (|G|, d, d); matrices[g] is the unitary image of

@@ -9,6 +9,7 @@ witness is kept on the report for debugging.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +38,6 @@ def _bound_from_block_norm(norms: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(c * c - 1.0, 0.0))
 
 
-def _block_invmult(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The 2x2 operator block [[u, 1], [-1, x]] as one matrix."""
-    m, d = u.shape[0], u.shape[1]
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d))
-    top = np.concatenate([u, eye], axis=2)
-    bot = np.concatenate([-eye, x], axis=2)
-    return np.concatenate([top, bot], axis=1)
-
-
 def _block_unitmult(u: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The 2x2 operator block [[u, x], [-1, v]] as one matrix."""
     m, d = u.shape[0], u.shape[1]
@@ -53,6 +45,36 @@ def _block_unitmult(u: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     top = np.concatenate([u, x], axis=2)
     bot = np.concatenate([-eye, v], axis=2)
     return np.concatenate([top, bot], axis=1)
+
+
+@dataclass(frozen=True)
+class _BlockLemma:
+    """||block|| = c sqrt(2)  =>  ||x - centre|| <= 2 sqrt(c^2 - 1).
+
+    A configuration maps the names in ``unitaries`` and "x" to stacks of
+    d x d matrices; ``centre`` and ``block`` read one, and ``slot`` is the
+    (row, column) of the d x d block that holds x.
+    """
+
+    salt: int
+    unitaries: tuple[str, ...]
+    centre: Callable[[dict], np.ndarray]
+    block: Callable[[dict], np.ndarray]
+    slot: tuple[int, int]
+
+
+_LEMMAS = {
+    # [[u, 1], [-1, x]]: equality at x = u*
+    "invmult": _BlockLemma(
+        11, ("u",), lambda w: np.conj(np.transpose(w["u"], (0, 2, 1))),
+        lambda w: _block_unitmult(w["u"], np.broadcast_to(np.eye(w["x"].shape[1], dtype=complex),
+                                                          w["x"].shape), w["x"]),
+        (1, 1)),
+    # [[u, x], [-1, v]]: equality at x = uv
+    "unitmult": _BlockLemma(
+        13, ("u", "v"), lambda w: w["u"] @ w["v"],
+        lambda w: _block_unitmult(w["u"], w["x"], w["v"]), (0, 1)),
+}
 
 
 def _sample_x_near(rng, target: np.ndarray) -> np.ndarray:
@@ -72,131 +94,88 @@ def _sample_x_near(rng, target: np.ndarray) -> np.ndarray:
     return x
 
 
-def _adversarial_descent(build_block, target_of, u_list, x_list, extra, iters=60):
-    """Subgradient descent on the margin, seeking a violation.
+def _adversarial_descent(lemma: _BlockLemma, starts: list[dict], iters: int = 60):
+    """Subgradient descent on the margin along x, seeking a violation.
 
-    build_block(u, x, extra) -> 2d x 2d matrix; target_of(u, x, extra) -> the
-    matrix whose norm the lemma bounds.  Returns the smallest margin reached
-    and the configuration (u, x, extra) reaching it.
+    ``starts`` are configurations of single d x d matrices.  Returns the
+    smallest margin reached and the configuration reaching it.
     """
     worst = np.inf
     worst_cfg = None
-    for u, x0, ex in zip(u_list, x_list, extra):
-        x = x0.copy()
-        d = x.shape[0]
+    row, col = lemma.slot
+    for start in starts:
+        w = {name: a[None] for name, a in start.items()}
+        x = w["x"].copy()
+        centre = lemma.centre(w)
+        d = x.shape[1]
         step = 0.05
         margin_prev = None
         for _ in range(iters):
-            block = build_block(u, x, ex)
-            bu, bs, bvh = np.linalg.svd(block)
+            w["x"] = x
+            bu, bs, bvh = np.linalg.svd(lemma.block(w)[0])
             c = max(bs[0] / SQRT2, 1.0)
             bound = 2.0 * np.sqrt(max(c * c - 1.0, 0.0))
-            diff = target_of(u, x, ex)
-            du, ds, dvh = np.linalg.svd(diff)
-            margin = bound - ds[0]
+            du, ds, dvh = np.linalg.svd((x - centre)[0])
+            margin = float(bound - ds[0])
             if margin < worst:
                 worst = margin
-                worst_cfg = (u.copy(), x.copy(), ex)
-            # gradient of (target - bound) with respect to x
+                worst_cfg = {name: a[0].copy() for name, a in w.items()}
+            # gradient of (||x - centre|| - bound) with respect to x
             g_target = np.outer(du[:, 0], dvh[0])
-            g_block = np.outer(bu[:, 0], bvh[0])[d:, d:]
+            g_block = np.outer(bu[:, 0], bvh[0])[row * d:(row + 1) * d, col * d:(col + 1) * d]
             factor = min(2.0 * c / np.sqrt(max(c * c - 1.0, 1e-12)), 1e6) / SQRT2
-            grad = g_target - factor * g_block
-            x = x + step * grad
+            x = x + step * (g_target - factor * g_block)
             if margin_prev is not None and margin > margin_prev:
                 step *= 0.5
             margin_prev = margin
     return worst, worst_cfg
 
 
-def verify_invmult(dim: int, trials: int = 10_000, seed: int = 0,
-                   adversarial: bool = True) -> LemmaReport:
+def _verify_block_lemma(lemma_id: str, dim: int, trials: int, seed: int) -> LemmaReport:
+    """Random trials around the equality configurations, then adversarial
+    descent from the worst trial and from five fresh near-equality starts."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    lemma = _LEMMAS[lemma_id]
+    rng = np.random.default_rng([seed, dim, lemma.salt])
+    worst = np.inf
+    worst_cfg = None
+    done = 0
+    while done < trials:
+        m = min(4096, trials - done)
+        w = {name: haar_unitaries(rng, m, dim) for name in lemma.unitaries}
+        w["x"] = _sample_x_near(rng, lemma.centre(w))
+        bound = _bound_from_block_norm(top_singular_values(lemma.block(w)))
+        margins = bound - top_singular_values(w["x"] - lemma.centre(w))
+        j = int(margins.argmin())
+        if margins[j] < worst:
+            worst = float(margins[j])
+            worst_cfg = {name: a[j].copy() for name, a in w.items()}
+        done += m
+    starts = [{name: haar_unitary(rng, dim) for name in lemma.unitaries} for _ in range(5)]
+    for w in starts:
+        w["x"] = lemma.centre({name: a[None] for name, a in w.items()})[0] + 0.05 * (
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    adv_worst, adv_cfg = _adversarial_descent(lemma, [worst_cfg] + starts)
+    meta = {"dim": dim, "worst_margin_random": worst, "worst_margin_adversarial": adv_worst}
+    if adv_worst < worst:
+        worst, worst_cfg = adv_worst, adv_cfg
+    counterexample = worst_cfg if worst < -MARGIN_TOL else None
+    return LemmaReport(lemma_id, trials, worst, counterexample, meta)
+
+
+def verify_invmult(dim: int, trials: int = 10_000, seed: int = 0) -> LemmaReport:
     """Check ||x - u*|| <= 2 sqrt(c^2 - 1) for ||[[u,1],[-1,x]]|| = c sqrt(2).
 
     Random unitaries u are Haar distributed; x mixes loose Gaussians with
     tight perturbations of u*, where the inequality approaches equality.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng([seed, dim, 11])
-    worst = np.inf
-    worst_cfg = None
-    done = 0
-    while done < trials:
-        m = min(4096, trials - done)
-        u = haar_unitaries(rng, m, dim)
-        x = _sample_x_near(rng, np.conj(np.transpose(u, (0, 2, 1))))
-        bound = _bound_from_block_norm(top_singular_values(_block_invmult(u, x)))
-        target = top_singular_values(x - np.conj(np.transpose(u, (0, 2, 1))))
-        margins = bound - target
-        j = int(margins.argmin())
-        if margins[j] < worst:
-            worst = float(margins[j])
-            worst_cfg = (u[j].copy(), x[j].copy())
-        done += m
-    meta = {"dim": dim, "worst_margin_random": worst}
-    if adversarial:
-        starts_u = [worst_cfg[0]] + [haar_unitary(rng, dim) for _ in range(5)]
-        starts_x = [worst_cfg[1]] + [
-            np.conj(starts_u[i + 1].T) + 0.05 * (rng.standard_normal((dim, dim))
-                                                 + 1j * rng.standard_normal((dim, dim)))
-            for i in range(5)
-        ]
-        adv_worst, adv_cfg = _adversarial_descent(
-            lambda u_, x_, _: _block_invmult(u_[None], x_[None])[0],
-            lambda u_, x_, _: x_ - u_.conj().T,
-            starts_u, starts_x, [None] * len(starts_u))
-        meta["worst_margin_adversarial"] = adv_worst
-        if adv_worst < worst:
-            worst, worst_cfg = adv_worst, adv_cfg
-    counterexample = None
-    if worst < -MARGIN_TOL:
-        counterexample = {"u": worst_cfg[0], "x": worst_cfg[1]}
-    return LemmaReport("invmult", trials, float(worst), counterexample, meta)
+    return _verify_block_lemma("invmult", dim, trials, seed)
 
 
-def verify_unitmult(dim: int, trials: int = 10_000, seed: int = 0,
-                    adversarial: bool = True) -> LemmaReport:
+def verify_unitmult(dim: int, trials: int = 10_000, seed: int = 0) -> LemmaReport:
     """Check ||x - uv|| <= 2 sqrt(c^2 - 1) for ||[[u,x],[-1,v]]|| = c sqrt(2)."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng([seed, dim, 13])
-    worst = np.inf
-    worst_cfg = None
-    done = 0
-    while done < trials:
-        m = min(4096, trials - done)
-        u = haar_unitaries(rng, m, dim)
-        v = haar_unitaries(rng, m, dim)
-        x = _sample_x_near(rng, u @ v)
-        bound = _bound_from_block_norm(top_singular_values(_block_unitmult(u, x, v)))
-        target = top_singular_values(x - u @ v)
-        margins = bound - target
-        j = int(margins.argmin())
-        if margins[j] < worst:
-            worst = float(margins[j])
-            worst_cfg = (u[j].copy(), x[j].copy(), v[j].copy())
-        done += m
-    meta = {"dim": dim, "worst_margin_random": worst}
-    if adversarial:
-        starts = [worst_cfg]
-        for _ in range(5):
-            uu = haar_unitary(rng, dim)
-            vv = haar_unitary(rng, dim)
-            xx = uu @ vv + 0.05 * (rng.standard_normal((dim, dim))
-                                   + 1j * rng.standard_normal((dim, dim)))
-            starts.append((uu, xx, vv))
-        adv_worst, adv_cfg = _adversarial_descent(
-            lambda u_, x_, v_: _block_unitmult(u_[None], x_[None], v_[None])[0],
-            lambda u_, x_, v_: x_ - u_ @ v_,
-            [s[0] for s in starts], [s[1] for s in starts], [s[2] for s in starts])
-        meta["worst_margin_adversarial"] = adv_worst
-        if adv_worst < worst:
-            worst, worst_cfg = adv_worst, adv_cfg
-    counterexample = None
-    if worst < -MARGIN_TOL:
-        counterexample = {"u": worst_cfg[0], "x": worst_cfg[1], "v": worst_cfg[2]}
-    return LemmaReport("unitmult", trials, float(worst), counterexample, meta)
+    return _verify_block_lemma("unitmult", dim, trials, seed)
 
 
 def verify_norm_gap(g: FiniteGroup, t: IrrepTable, random_trials: int = 10_000,

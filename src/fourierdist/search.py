@@ -31,65 +31,35 @@ SQRT_3_2 = math.sqrt(1.5)
 SQRT5_OVER_2 = math.sqrt(5.0) / 2.0
 
 
-def enumerate_bijections(g: FiniteGroup, h: FiniteGroup, canonical: bool = True,
-                         aut_reduce: bool = False, seed: int = 0,
+def enumerate_bijections(g: FiniteGroup, h: FiniteGroup, seed: int = 0,
                          sample_size: int = DEFAULT_SAMPLE_SIZE):
-    """Yield bijections t : h -> g (index maps into g).
+    """Yield the bijections t : h -> g (index maps into g) that fix the identity.
 
-    Exhaustive for orders <= 8; beyond that a seeded random sample of
-    ``sample_size`` distinct maps is produced instead, with 1 <= sample_size
-    <= (n-1)! (n! when not ``canonical``).  With ``canonical`` the identity
-    is fixed (justified by translation invariance of every computed norm);
-    ``aut_reduce`` additionally keeps only the lexicographically smallest
-    representative of each orbit under Aut(g) x Aut(h).
+    Fixing the identity loses nothing, by translation invariance of every
+    computed norm.  Exhaustive for orders <= 8; beyond that a seeded random
+    sample of ``sample_size`` distinct maps is produced instead, with
+    1 <= sample_size <= (n-1)!.
     """
     if g.order != h.order:
         raise GroupMismatchError("bijections need groups of equal order")
     n = g.order
-    if aut_reduce and not canonical:
-        raise ValueError("aut_reduce requires canonical enumeration")
-    if n > EXHAUSTIVE_ORDER_LIMIT:
-        available = math.factorial(n - 1 if canonical else n)
-        if not 1 <= sample_size <= available:
-            raise ValueError(f"sample_size must lie between 1 and {available}, the number "
-                             f"of maps at order {n}; got {sample_size}")
-    auts_g = automorphisms(g) if aut_reduce else None
-    auts_h = automorphisms(h) if aut_reduce else None
-
-    def is_orbit_representative(mp: np.ndarray) -> bool:
-        key = tuple(mp.tolist())
-        for alpha in auts_g:
-            for beta in auts_h:
-                if tuple(alpha[mp[beta]].tolist()) < key:
-                    return False
-        return True
-
-    def emit(mp: np.ndarray):
-        return GroupBijection(source=h, target=g, map=mp)
-
     if n <= EXHAUSTIVE_ORDER_LIMIT:
-        if canonical:
-            for rest in itertools.permutations(range(1, n)):
-                mp = np.array((0,) + rest, dtype=np.int64)
-                if aut_reduce and not is_orbit_representative(mp):
-                    continue
-                yield emit(mp)
-        else:
-            for perm in itertools.permutations(range(n)):
-                yield emit(np.array(perm, dtype=np.int64))
+        for rest in itertools.permutations(range(1, n)):
+            yield GroupBijection(source=h, target=g, map=np.array((0,) + rest, dtype=np.int64))
         return
+    available = math.factorial(n - 1)
+    if not 1 <= sample_size <= available:
+        raise ValueError(f"sample_size must lie between 1 and {available}, the number "
+                         f"of maps at order {n}; got {sample_size}")
     rng = np.random.default_rng([seed, n])
     seen = set()
     while len(seen) < sample_size:
-        rest = rng.permutation(np.arange(1, n)) if canonical else None
-        mp = np.concatenate(([0], rest)) if canonical else rng.permutation(n)
+        mp = np.concatenate(([0], rng.permutation(np.arange(1, n))))
         key = tuple(mp.tolist())
         if key in seen:
             continue
         seen.add(key)
-        if aut_reduce and not is_orbit_representative(np.asarray(mp)):
-            continue
-        yield emit(np.asarray(mp, dtype=np.int64))
+        yield GroupBijection(source=h, target=g, map=mp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +106,7 @@ def _orbit_transports(g: FiniteGroup, h: FiniteGroup, maps):
     Returns the representatives and, for each map m, a triple
     (representative index, alpha, beta) with m = alpha o r o beta.  The
     canonical maps come in lexicographic order, so the first map met in an
-    orbit is its smallest member, the one ``enumerate_bijections`` keeps with
-    ``aut_reduce``.
+    orbit is its smallest member.
     """
     auts_g, auts_h = automorphisms(g), automorphisms(h)
     reps, found = [], {}
@@ -160,8 +129,7 @@ def _scan(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
     scans compute every sampled map.
     """
     eff = resolve_effort(effort).for_scan()
-    maps = [bij.map for bij in enumerate_bijections(g, h, canonical=True, seed=seed,
-                                                    sample_size=sample_size)]
+    maps = [bij.map for bij in enumerate_bijections(g, h, seed=seed, sample_size=sample_size)]
     exhaustive = g.order <= EXHAUSTIVE_ORDER_LIMIT
     reps, transports = _orbit_transports(g, h, maps) if exhaustive else (maps, None)
     if jobs <= 1 or len(reps) < 4:
@@ -187,30 +155,30 @@ def _scan(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
     return records
 
 
-def _scan_meta(g: FiniteGroup, records, iso: bool, seed: int, sample_size: int) -> dict:
+def _scan_result(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
+                 jobs) -> SearchResult:
+    """Scan at the given levels and fill in the distortion argmin and the
+    meta; the level-2 fields and the verdicts are left empty."""
+    records = _scan(g, h, levels=levels, effort=effort, seed=seed,
+                    sample_size=sample_size, jobs=jobs)
+    dist, arg = _argmin_by(records, lambda r: r.report.distortion)
+    iso, _ = are_isomorphic(g, h)
     exhaustive = g.order <= EXHAUSTIVE_ORDER_LIMIT
-    return {"isomorphic": iso, "seed": seed,
+    meta = {"isomorphic": iso, "seed": seed,
             "exhaustive": exhaustive,
             "sample_size": None if exhaustive else sample_size,
             "bijections": len(records),
             "orbits": len({tuple(r.orbit.map.tolist()) for r in records})
             if exhaustive else None}
+    return SearchResult(pair=(g, h), records=records, min_distortion=dist,
+                        argmin_distortion=arg, min_level2=None, argmin_level2=None,
+                        meta=meta)
 
 
 def min_distortion(g: FiniteGroup, h: FiniteGroup, effort="default", seed: int = 0,
                    sample_size: int = DEFAULT_SAMPLE_SIZE, jobs: int = 1) -> SearchResult:
     """Minimize ||T|| ||T^{-1}|| over canonical bijections t : h -> g."""
-    records = _scan(g, h, levels=(1,), effort=effort, seed=seed,
-                    sample_size=sample_size, jobs=jobs)
-    dist, arg = _argmin_by(records, lambda r: r.report.distortion)
-    iso, _ = are_isomorphic(g, h)
-    return SearchResult(
-        pair=(g, h), records=records,
-        min_distortion=dist, argmin_distortion=arg,
-        min_level2=None, argmin_level2=None,
-        threshold_verdicts={},
-        meta=_scan_meta(g, records, iso, seed, sample_size),
-    )
+    return _scan_result(g, h, (1,), effort, seed, sample_size, jobs)
 
 
 def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="default",
@@ -230,14 +198,13 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
     """
     if level != 2:
         raise ValueError("the gap scan is defined for level 2")
-    records = _scan(g, h, levels=(1, 2), effort=effort, seed=seed,
-                    sample_size=sample_size, jobs=jobs)
-    dist, arg_d = _argmin_by(records, lambda r: r.report.distortion)
-    lvl2, arg_2 = _argmin_by(records, lambda r: max(r.report.level_k_norms[2]))
-    iso, _ = are_isomorphic(g, h)
+    result = _scan_result(g, h, (1, 2), effort, seed, sample_size, jobs)
+    records = result.records
+    result.min_level2, result.argmin_level2 = _argmin_by(
+        records, lambda r: max(r.report.level_k_norms[2]))
     values = [v for r in records for v in r.report.level_k_norms[2]]
-    verdicts = {}
-    if not iso:
+    verdicts = result.threshold_verdicts
+    if not result.meta["isomorphic"]:
         worst = min(max(r.report.level_k_norms[2]) for r in records)
         verdicts["level2_isomorphism_threshold"] = {
             "passed": bool(worst >= SQRT_3_2 - delta_gap),
@@ -266,13 +233,7 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
         "advisory": True,
         "values": reported,
     }
-    return SearchResult(
-        pair=(g, h), records=records,
-        min_distortion=dist, argmin_distortion=arg_d,
-        min_level2=lvl2, argmin_level2=arg_2,
-        threshold_verdicts=verdicts,
-        meta=_scan_meta(g, records, iso, seed, sample_size),
-    )
+    return result
 
 
 def epsilon_zero_bound(pairs, effort="default", seed: int = 0):

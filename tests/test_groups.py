@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -219,3 +220,21 @@ def test_conjugacy_classes():
     assert classes[0] == [0]
     q8 = fd.make_quaternion()
     assert sorted(len(c) for c in q8.conjugacy_classes()) == [1, 1, 2, 2, 2]
+
+
+def test_pickled_frozen_types_keep_read_only_arrays():
+    # unpickling rebuilds through __init__, so __post_init__ freezes the copy
+    s3 = fd.make_symmetric(3)
+    objects = [
+        (s3, ("table", "inverses")),
+        (fd.GroupBijection(source=s3, target=s3, map=np.arange(6)), ("map",)),
+        (fd.irrep_table_for(s3).irreps[2], ("matrices",)),
+        (fd.AFunction(s3, np.arange(6)), ("values",)),
+        (fd.GroupAlgebraElement(s3, np.ones(6)), ("coeffs",)),
+    ]
+    for obj, arrays in objects:
+        copy = pickle.loads(pickle.dumps(obj))
+        assert type(copy) is type(obj)
+        for name in arrays:
+            assert np.array_equal(getattr(copy, name), getattr(obj, name))
+            assert not getattr(copy, name).flags.writeable

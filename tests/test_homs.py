@@ -8,6 +8,7 @@ import fourierdist as fd
 from fourierdist import homs as homs_module
 from fourierdist.errors import GroupMismatchError, SizeLimitError
 from fourierdist.optim import maximize_block_image
+from fourierdist.search import _orbit_transports
 
 from conftest import FAST_EFFORT, reevaluate_witness
 
@@ -248,6 +249,22 @@ def test_jordan_refinement_raises_the_defect(pair, bound):
     assert refined > unrefined + 1e-3
 
 
+def test_jordan_refine_builds_one_operator_per_half_step(z6_s3_hom, monkeypatch):
+    # one J(b) for the starting value, then one per half step, which also
+    # scores the step
+    builds = []
+    build = homs_module._jordan_operator
+
+    def counting(hom, b):
+        builds.append(1)
+        return build(hom, b)
+
+    monkeypatch.setattr(homs_module, "_jordan_operator", counting)
+    eye = np.eye(6, dtype=complex)
+    homs_module._refine_jordan_pair(z6_s3_hom, eye[1], eye[2], 1)
+    assert len(builds) <= 3
+
+
 def test_jordan_dichotomy_on_basis_pairs(z6_s3_hom, s3):
     from fourierdist.homs import _jordan_coeffs, _vn_norm_coeffs
     hom = z6_s3_hom
@@ -335,10 +352,10 @@ def test_abelian_closed_form_not_below_optimizer(z6, s3):
     # one map per Aut(Z6) x Aut(S3) orbit; the closed form is exact, so the
     # optimizer's lower bound may not exceed it
     t6, t3 = fd.irrep_table_for(z6), fd.irrep_table_for(s3)
-    reps = list(fd.enumerate_bijections(z6, s3, aut_reduce=True))
+    reps, _ = _orbit_transports(z6, s3, [b.map for b in fd.enumerate_bijections(z6, s3)])
     assert len(reps) == 12
-    for bij in reps:
-        hom = fd.InducedHom(bijection=bij, source_table=t6, target_table=t3)
+    for mp in reps:
+        hom = fd.induced_hom(t6, t3, mp)
         for k in (1, 2):
             exact = fd.level_k_norm(hom, k).value
             assert exact >= _optimizer_value(hom, k, FAST_EFFORT) - 1e-12

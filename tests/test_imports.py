@@ -1,7 +1,8 @@
-"""Static check of the package sources: no module-level import goes unused.
+"""Static checks of the package sources: no module-level import goes unused,
+and every private module-level name is used somewhere in the package.
 
-Uses only ``ast``, so it needs no linter.  ``__init__.py`` is skipped because
-its imports are the package's public re-exports.
+Uses only ``ast``, so it needs no linter.  ``__init__.py`` is skipped by the
+import check because its imports are the package's public re-exports.
 """
 
 import ast
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "fourierdist").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "fourierdist").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -34,3 +35,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and constants named ``_x`` (not dunder)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names that no module of the set reads, imports or
+    reaches as an attribute; a definition is not a use of itself."""
+    used = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{module}: {name}" for module, tree in modules.items()
+            for name in private_definitions(tree) if name not in used]
+
+
+def test_the_check_sees_an_unused_private_name():
+    modules = {
+        "a": ast.parse("_LIMIT = 3\n_seen: set = set()\n__all__ = []\n"
+                       "def _helper():\n    return _LIMIT\n"
+                       "def _dead():\n    return _helper()\n"
+                       "class _Base:\n    pass\n"),
+        "b": ast.parse("from a import _Base\nimport a\nprint(a._seen)\n"),
+    }
+    assert unreferenced_private_names(modules) == ["a: _dead"]
+
+
+def test_no_unreferenced_private_names():
+    modules = {p.name: ast.parse(p.read_text()) for p in PACKAGE}
+    assert unreferenced_private_names(modules) == []

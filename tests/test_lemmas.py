@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
-from fourierdist.lemmas import (_adversarial_descent, _block_invmult, _block_unitmult,
+from fourierdist.lemmas import (_LEMMAS, _adversarial_descent, _block_unitmult,
                                _bound_from_block_norm)
 from fourierdist.optim import haar_unitaries, top_singular_values
 
 from conftest import FAST_EFFORT
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _block_invmult(u, x):
+    """The block [[u, 1], [-1, x]], as [[u, x'], [-1, v']] with x' = 1, v' = x."""
+    return _block_unitmult(u, np.broadcast_to(np.eye(u.shape[1], dtype=complex), u.shape), x)
 
 
 def test_haar_sampling_sanity():
@@ -85,8 +90,33 @@ def test_verify_unitmult_small_runs():
         report = fd.verify_unitmult(dim, trials=800, seed=6)
         assert report.worst_margin >= -1e-9
         assert report.counterexample is None
+        # the descent moves x along its own block slot, so it gets closer to
+        # equality than the random trials it starts from
         assert report.meta["worst_margin_adversarial"] \
-            <= report.meta["worst_margin_random"] + 1e-12
+            < report.meta["worst_margin_random"] - 1e-12
+        assert type(report.meta["worst_margin_adversarial"]) is float
+        assert type(report.meta["worst_margin_random"]) is float
+
+
+@pytest.mark.parametrize("lemma_id", ["invmult", "unitmult"])
+def test_block_gradient_follows_the_x_slot(lemma_id):
+    # the top singular pair restricted to x's slot is the gradient of the
+    # block norm in x: it matches a central finite difference
+    lemma = _LEMMAS[lemma_id]
+    rng = np.random.default_rng(12)
+    d, h = 3, 1e-6
+    w = {name: haar_unitaries(rng, 1, d) for name in lemma.unitaries}
+    w["x"] = rng.standard_normal((1, d, d)) + 1j * rng.standard_normal((1, d, d))
+    e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bu, _, bvh = np.linalg.svd(lemma.block(w)[0])
+    row, col = lemma.slot
+    grad = np.outer(bu[:, 0], bvh[0])[row * d:(row + 1) * d, col * d:(col + 1) * d]
+
+    def block_norm(x):
+        return top_singular_values(lemma.block({**w, "x": x}))[0]
+
+    fd_diff = (block_norm(w["x"] + h * e) - block_norm(w["x"] - h * e)) / (2 * h)
+    assert abs(np.vdot(grad, e).real - fd_diff) < 1e-6
 
 
 def test_adversarial_descent_keeps_v():
@@ -95,10 +125,8 @@ def test_adversarial_descent_keeps_v():
     rng = np.random.default_rng(4)
     u, v = haar_unitaries(rng, 2, 3)
     x = u @ v + 0.05 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    worst, cfg = _adversarial_descent(
-        lambda u_, x_, v_: _block_unitmult(u_[None], x_[None], v_[None])[0],
-        lambda u_, x_, v_: x_ - u_ @ v_, [u], [x], [v])
-    cu, cx, cv = cfg
+    worst, cfg = _adversarial_descent(_LEMMAS["unitmult"], [{"u": u, "v": v, "x": x}])
+    cu, cx, cv = cfg["u"], cfg["x"], cfg["v"]
     assert np.array_equal(cv, v)
     block_norm = top_singular_values(_block_unitmult(cu[None], cx[None], cv[None]))
     margin = _bound_from_block_norm(block_norm)[0] - top_singular_values(cx - cu @ cv)
