@@ -26,7 +26,7 @@ for k, (vt, vi) in sorted(report.level_k_norms.items()):
 
 # The completely bounded norm stabilizes by the sum of the source block
 # dimensions; for this map the whole sequence is flat.
-cb = fd.cb_norm(hom, effort=fd.Effort(restarts=12, iterations=150, samples=2048))
+cb = fd.cb_norm(hom, effort=fd.Effort(restarts=12, samples=2048))
 print("\ncb-norm stabilization sequence:",
       [f"{v:.6f}" for _, v in cb.levels])
 
@@ -42,7 +42,7 @@ print("Jordan defect of the Z6/S3 map  :", fd.jordan_defect(hom, samples=64))
 anti = fd.InducedHom(
     bijection=fd.GroupBijection(source=s3, target=s3, map=s3.inverses),
     source_table=t3, target_table=t3)
-eff = fd.Effort(restarts=12, iterations=150, samples=2048)
+eff = fd.Effort(restarts=12, samples=2048)
 print("\ninversion on S3: level-1 norm =",
       f"{fd.level_k_norm(anti, 1, effort=eff).value:.9f},",
       "level-2 norm =", f"{fd.level_k_norm(anti, 2, effort=eff).value:.9f}")

@@ -35,7 +35,6 @@ from .groups import (
     automorphisms,
     group_from_json,
     group_from_table,
-    identity_bijection,
     make_cyclic,
     make_dihedral,
     make_direct_product,

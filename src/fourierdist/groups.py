@@ -278,13 +278,6 @@ class GroupBijection(_ReadOnlyArrays):
                               self.target.table[g0, self.map])
 
 
-def identity_bijection(g: FiniteGroup, h: FiniteGroup | None = None) -> GroupBijection:
-    """The index-identity bijection h -> g (same indices)."""
-    if h is None:
-        h = g
-    return GroupBijection(source=h, target=g, map=np.arange(g.order))
-
-
 def _generating_sequence(g: FiniteGroup):
     """Greedy generating set plus a derivation of every element.
 

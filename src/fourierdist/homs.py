@@ -204,8 +204,7 @@ def _abelian_source_norm(hom: InducedHom, k: int) -> NormEstimate:
             best_val, best_x = val, x
     level1 = Witness(level=1, blocks=blocks_from_coeffs(hom.target_table, best_x.coeffs))
     witness = Witness(level=k, blocks=_lift_witness(level1, hom.target_table, k))
-    meta = {"restarts": 0, "iterations": 0, "samples": 0, "converged": True,
-            "best_source": "closed-form"}
+    meta = {"restarts": 0, "samples": 0, "converged": True, "best_source": "closed-form"}
     return NormEstimate(value=_witness_value(hom, witness), witness=witness, meta=meta)
 
 

@@ -136,6 +136,8 @@ def _verify_block_lemma(lemma_id: str, dim: int, trials: int, seed: int) -> Lemm
     descent from the worst trial and from five fresh near-equality starts."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     lemma = _LEMMAS[lemma_id]
     rng = np.random.default_rng([seed, dim, lemma.salt])
     worst = np.inf
@@ -187,6 +189,8 @@ def verify_norm_gap(g: FiniteGroup, t: IrrepTable, random_trials: int = 10_000,
     coefficients on distinct elements the norm is at least the Euclidean
     coefficient norm.
     """
+    if random_trials < 0:
+        raise ValueError("random_trials must be >= 0")
     n = g.order
     stacks = [rep.matrices for rep in t.irreps]
     idx = np.arange(n)

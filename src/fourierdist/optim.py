@@ -6,12 +6,12 @@ blocks, and we want sup ||L(X)||_max-block over max_sigma ||X_sigma|| <= 1.
 The objective is convex, so every reported value is the exact evaluation at
 a feasible witness and therefore a certified lower bound of the supremum.
 
-Three candidate generators are combined and the best witness kept:
-multi-start projected subgradient ascent (steps along the top singular pair
-of the leading output block, singular-value clipping as projection), an
-alternating exact phase that replaces each input block by the polar factor
-of its gradient block (monotone, usually attains the optimum), and a coarse
-random-sampling oracle over unitary tuples.
+Two candidate generators are combined and the best witness kept: a
+multi-start ascent that replaces each input block by the polar factor of
+its gradient block, the exact maximizer of the linearization over the unit
+polyball (the power method for a convex objective: a step never lowers the
+objective, so it climbs from every start), and a coarse random-sampling
+oracle over unitary tuples.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# initial ascent step size and the cap on exact polish rounds per restart
-STEP = 0.1
+# the cap on polish rounds per restart
 POLISH_ROUNDS = 60
 
 
@@ -32,22 +31,20 @@ class Effort:
     """Optimizer budget; larger budgets only extend the candidate set."""
 
     restarts: int = 64
-    iterations: int = 500
     samples: int = 100_000
 
     def for_scan(self) -> Effort:
         """Reduced per-item budget used inside exhaustive bijection scans."""
         return Effort(
             restarts=max(3, self.restarts // 16),
-            iterations=min(self.iterations, 80),
             samples=max(1024, self.samples // 64),
         )
 
 
 EFFORT_PRESETS = {
-    "low": Effort(restarts=16, iterations=200, samples=10_000),
+    "low": Effort(restarts=16, samples=10_000),
     "default": Effort(),
-    "high": Effort(restarts=200, iterations=800, samples=1_000_000),
+    "high": Effort(restarts=200, samples=1_000_000),
 }
 
 
@@ -201,10 +198,6 @@ def _best_block(blocks: list[np.ndarray]):
     return float(s[0]), i, u[:, 0], vh[0].conj()
 
 
-def _objective(blocks: list[np.ndarray]) -> float:
-    return max(top_singular_value(blk) for blk in blocks)
-
-
 def _gradient(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.ndarray):
     """L^*(u v^*): the gradient of Re <u, L(x)_idx v> for the image y = L(x)."""
     seed_blocks = [np.zeros(b.shape, dtype=complex) for b in y]
@@ -218,49 +211,20 @@ def _polish_step(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.nd
     return [polar_factor(gb) for gb in _gradient(adjoint, y, idx, u, v)]
 
 
-def _ascend(linmap: BlockLinearMap, start: list[np.ndarray], effort: Effort):
-    """One restart: projected subgradient ascent then exact polishing."""
+def _ascend(linmap: BlockLinearMap, start: list[np.ndarray]):
+    """One restart: clip the start into the ball, then polish until three
+    rounds in a row fail to improve the best value."""
     x = [clip_to_ball(b) for b in start]
     y = linmap.apply(x)
     val, idx, u, v = _best_block(y)
-    best_val, best_x = val, [b.copy() for b in x]
-    step = STEP
-    stall = 0
-    for _ in range(effort.iterations):
-        grad = _gradient(linmap.adjoint, y, idx, u, v)
-        accepted = False
-        for _ in range(3):
-            x_try = [clip_to_ball(xb + step * gb) for xb, gb in zip(x, grad)]
-            val_try = _objective(linmap.apply(x_try))
-            if val_try > val:
-                x, val = x_try, val_try
-                step = min(step * 1.25, 1.0)
-                accepted = True
-                break
-            step *= 0.5
-        if accepted:
-            y = linmap.apply(x)
-            val, idx, u, v = _best_block(y)
-            if val > best_val + 1e-14:
-                best_val, best_x = val, [b.copy() for b in x]
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall >= 12:
-            break
-    # alternating exact phase: maximize the current linearization in closed form
-    x = best_x
-    y = linmap.apply(x)
-    val, idx, u, v = _best_block(y)
+    best_val, best_x = val, x
     stall = 0
     for _ in range(POLISH_ROUNDS):
         x = _polish_step(linmap.adjoint, y, idx, u, v)
         y = linmap.apply(x)
         val, idx, u, v = _best_block(y)
         if val > best_val + 1e-14:
-            best_val, best_x = val, [b.copy() for b in x]
+            best_val, best_x = val, x
             stall = 0
         else:
             stall += 1
@@ -315,13 +279,12 @@ def maximize_block_image(linmap: BlockLinearMap, effort: Effort, seed: int = 0,
             ])
     best_val, best_x, best_src = -1.0, None, "start"
     for si, start in enumerate(starts):
-        val, x = _ascend(linmap, start, effort)
+        val, x = _ascend(linmap, start)
         if val > best_val:
             best_val, best_x = val, x
             best_src = "ascent" if si > 0 else "identity-start"
     meta = {
         "restarts": effort.restarts,
-        "iterations": effort.iterations,
         "samples": effort.samples,
         "converged": True,
     }

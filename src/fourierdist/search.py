@@ -128,11 +128,13 @@ def _scan(g: FiniteGroup, h: FiniteGroup, levels, effort, seed, sample_size,
     it to the other members (every norm is constant on an orbit); sampled
     scans compute every sampled map.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     eff = resolve_effort(effort).for_scan()
     maps = [bij.map for bij in enumerate_bijections(g, h, seed=seed, sample_size=sample_size)]
     exhaustive = g.order <= EXHAUSTIVE_ORDER_LIMIT
     reps, transports = _orbit_transports(g, h, maps) if exhaustive else (maps, None)
-    if jobs <= 1 or len(reps) < 4:
+    if jobs == 1 or len(reps) < 4:
         computed = [_scan_one(g, h, mp, levels, eff, seed) for mp in reps]
     else:
         import concurrent.futures

@@ -30,7 +30,7 @@ def z6_s3_hom(z6, s3):
     return fd.induced_hom(fd.irrep_table_for(z6), fd.irrep_table_for(s3), np.arange(6))
 
 
-FAST_EFFORT = fd.Effort(restarts=6, iterations=80, samples=1024)
+FAST_EFFORT = fd.Effort(restarts=6, samples=1024)
 
 
 def reevaluate_witness(hom, estimate):

@@ -156,7 +156,7 @@ def test_criterion_5_lemma_suite(s3, z6):
 def test_criterion_6_structural_invariants(z6, s3):
     corpus = fd.standard_corpus()
     # isomorphism-induced maps are completely isometric at levels 1 and 2
-    eff = fd.Effort(restarts=6, iterations=80, samples=1024)
+    eff = fd.Effort(restarts=6, samples=1024)
     iso_homs = []
     t6 = fd.irrep_table_for(z6)
     iso_homs.append(fd.induced_hom(t6, t6, np.arange(6)))

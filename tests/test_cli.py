@@ -164,6 +164,21 @@ def test_scan_sample_size_out_of_range(capsys):
     assert "sample_size" in capsys.readouterr().err
 
 
+def test_scan_jobs_out_of_range(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["scan", "--source", "Z6", "--target", "S3", "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+
+
+def test_verify_lemmas_trials_out_of_range(capsys):
+    for lemma in ("invmult", "unitmult"):
+        assert main(["verify-lemmas", "--lemma", lemma, "--trials", "0"]) == 2
+        assert "trials" in capsys.readouterr().err
+    assert main(["verify-lemmas", "--lemma", "norm_gap", "--group", "Z4",
+                 "--trials", "-5"]) == 2
+    assert "random_trials" in capsys.readouterr().err
+
+
 def test_reproduce_command(capsys):
     code, data = run_json(capsys, "reproduce", "--effort", "low")
     assert code == 0

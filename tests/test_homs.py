@@ -388,8 +388,8 @@ def test_cb_norm_abelian_source_skips_optimizer(z6_s3_hom, monkeypatch):
     assert [k for k, _ in result.levels] == [1, 2, 3, 4, 5, 6]
     for _, val in result.levels:
         assert val == pytest.approx(SQRT2, abs=1e-12)
-    assert result.meta == {"restarts": 0, "iterations": 0, "samples": 0,
-                           "converged": True, "best_source": "closed-form"}
+    assert result.meta == {"restarts": 0, "samples": 0, "converged": True,
+                           "best_source": "closed-form"}
     value, feasibility = reevaluate_witness(z6_s3_hom, result)
     assert abs(value - result.value) < 1e-9
     assert feasibility <= 1.0 + 1e-9

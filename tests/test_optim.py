@@ -1,7 +1,12 @@
 import numpy as np
+import pytest
 
 import fourierdist as fd
-from fourierdist.optim import top_singular_value
+from fourierdist.optim import (BlockLinearMap, _best_block, _polish_step, clip_to_ball,
+                               top_singular_value)
+from fourierdist.search import _orbit_transports
+
+from conftest import reevaluate_witness
 
 
 def test_top_singular_value_2x2_close_singular_values():
@@ -25,3 +30,73 @@ def test_top_singular_value_2x2_matches_svd():
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         exact = np.linalg.svd(m, compute_uv=False)[0]
         assert abs(top_singular_value(m) - exact) <= 1e-14 * exact
+
+
+def _random_linmap(rng, dims_in, dims_out, k):
+    kernels = [[rng.standard_normal((do, do, di, di)) + 1j * rng.standard_normal((do, do, di, di))
+                for di in dims_in] for do in dims_out]
+    return BlockLinearMap(kernels, dims_in, dims_out, k=k)
+
+
+def _block_objective(blocks):
+    return max(np.linalg.svd(b, compute_uv=False)[0] for b in blocks)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_polish_step_stays_feasible_and_never_descends(k):
+    # the polish step maximizes the linearization of the convex objective at
+    # x over the unit polyball, and the linearization minorizes the objective,
+    # so the objective cannot drop: the ascent needs no other engine
+    rng = np.random.default_rng([31, k])
+    shapes = [([1, 2], [2, 1]), ([1, 1, 2], [1, 2]), ([2, 3], [1, 1, 2]), ([3], [2, 2])]
+    for dims_in, dims_out in shapes:
+        for _ in range(5):
+            linmap = _random_linmap(rng, dims_in, dims_out, k)
+            x = [clip_to_ball(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))
+                 for s in linmap.sizes_in]
+            for _ in range(8):
+                y = linmap.apply(x)
+                val, idx, u, v = _best_block(y)
+                assert abs(val - _block_objective(y)) <= 1e-12 * max(1.0, val)
+                x = _polish_step(linmap.adjoint, y, idx, u, v)
+                assert _block_objective(x) <= 1.0 + 1e-12
+                assert _block_objective(linmap.apply(x)) >= val - 1e-12
+
+
+# ||T||_k at levels 1 and 2 for the 12 Aut(Z6) x Aut(S3) orbit representatives,
+# scan effort, seed 0, as (level 1 T, level 1 T^-1, level 2 T, level 2 T^-1).
+# They are certified lower bounds, so a change to the optimizer may raise
+# them but must not lower any of them
+Z6_S3_SCAN_VALUES = {
+    (0, 1, 2, 3, 4, 5): (1.4142135623730963, 1.4142135623730951, 1.4142135623730963, 1.4142135623730954),
+    (0, 1, 2, 3, 5, 4): (2.1547005383792506, 2.1547005383792492, 2.1547005383792506, 2.1547005383792492),
+    (0, 1, 2, 4, 3, 5): (2.1547005383792532, 2.1547005383792452, 2.1547005383792532, 2.1547005383792452),
+    (0, 1, 2, 4, 5, 3): (2.1547005383792515, 2.1547005383792492, 2.1547005383792515, 2.1547005383792492),
+    (0, 1, 2, 5, 3, 4): (2.1547005383792524, 2.1547005383792452, 2.1547005383792524, 2.1547005383792452),
+    (0, 1, 2, 5, 4, 3): (1.4142135623730967, 1.4142135623730954, 1.4142135623730965, 1.4142135623730954),
+    (0, 1, 3, 2, 5, 4): (2.154700538379253, 2.154700538379246, 2.154700538379253, 2.154700538379252),
+    (0, 1, 3, 4, 5, 2): (2.154700538379253, 2.154700538379246, 2.1547005383792532, 2.154700538379252),
+    (0, 1, 4, 2, 5, 3): (1.7207592200561277, 1.666666666666663, 1.7207592200561277, 1.6666666666666625),
+    (0, 1, 4, 3, 5, 2): (1.7207592200561264, 1.666666666666663, 1.7207592200561264, 1.6666666666666625),
+    (0, 2, 1, 3, 5, 4): (1.7207592200561275, 1.66551626601493, 1.7207592200561275, 1.6666666666666652),
+    (0, 2, 1, 4, 5, 3): (1.7207592200561272, 1.66551626601493, 1.7207592200561272, 1.6666666666666652),
+}
+
+
+def test_z6_s3_scan_values_never_drop(z6, s3):
+    t6, t3 = fd.irrep_table_for(z6), fd.irrep_table_for(s3)
+    reps, _ = _orbit_transports(z6, s3, [b.map for b in fd.enumerate_bijections(z6, s3)])
+    assert {tuple(mp.tolist()) for mp in reps} == set(Z6_S3_SCAN_VALUES)
+    eff = fd.resolve_effort("default").for_scan()
+    for mp in reps:
+        hom = fd.induced_hom(t6, t3, mp)
+        report = fd.hom_norm_report(hom, levels=(1, 2), effort=eff, seed=0)
+        pinned = iter(Z6_S3_SCAN_VALUES[tuple(mp.tolist())])
+        for k in (1, 2):
+            for d, direction in enumerate((hom, hom.inverse())):
+                value = report.level_k_norms[k][d]
+                assert value >= next(pinned) - 1e-12
+                est = fd.NormEstimate(value=value, witness=report.witnesses[k][d], meta={})
+                recomputed, feasibility = reevaluate_witness(direction, est)
+                assert feasibility <= 1.0 + 1e-9
+                assert abs(recomputed - value) <= 1e-9
