@@ -161,6 +161,15 @@ def _lift_witness(witness: Witness, target_table: IrrepTable, k: int) -> list[np
     return lifted
 
 
+def _check_level(hom: InducedHom, k: int) -> None:
+    if k < 1:
+        raise ValueError("amplification level must be >= 1")
+    max_dim = max(hom.source_table.dims + hom.target_table.dims)
+    if k * max_dim > LEVEL_DIM_LIMIT:
+        raise SizeLimitError(
+            f"level {k} with block dimension {max_dim} exceeds the limit {LEVEL_DIM_LIMIT}")
+
+
 def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
                  hints: tuple[Witness, ...] = ()) -> NormEstimate:
     """Norm of the level-k amplification id_{M_k} (x) T*, with witness.
@@ -171,12 +180,7 @@ def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
     closed form instead; ``effort`` is then only validated, and ``seed`` and
     ``hints`` are unused.
     """
-    if k < 1:
-        raise ValueError("amplification level must be >= 1")
-    max_dim = max(hom.source_table.dims + hom.target_table.dims)
-    if k * max_dim > LEVEL_DIM_LIMIT:
-        raise SizeLimitError(
-            f"level {k} with block dimension {max_dim} exceeds the limit {LEVEL_DIM_LIMIT}")
+    _check_level(hom, k)
     eff = resolve_effort(effort)
     if hom.source_group.is_abelian():
         return _abelian_source_norm(hom, k)
@@ -209,13 +213,30 @@ def _abelian_source_norm(hom: InducedHom, k: int) -> NormEstimate:
 
 
 def _level_sweep(hom: InducedHom, levels, eff, seed: int) -> list[NormEstimate]:
-    """level_k_norm at each level in increasing order, seeded by the previous
-    level's witness.  The lifted witness attains the previous value, so the
-    values are nondecreasing."""
+    """Estimates at each level in increasing order, each seeded by the
+    previous level's witness, whose lift attains the previous value.
+
+    Levels up to the first one at or above D = max_pi d_pi(G) run
+    level_k_norm.  T* maps into VN(G) = (+)_pi M_{d_pi}, so ||T||_k is the
+    largest ||T*_pi||_k, and by Smith's lemma a map into M_d has
+    ||.||_cb = ||.||_d.  Every level k >= D therefore equals the cb norm, and
+    a later level gets no optimizer call: its witness is that estimate's
+    witness lifted to level k, its value the same value (the lift attains it
+    exactly) and its meta a copy of that estimate's meta.
+    """
+    top = max(hom.source_table.dims)
     estimates: list[NormEstimate] = []
+    done = None
     for k in levels:
+        if done is not None:
+            _check_level(hom, k)
+            lifted = Witness(level=k, blocks=_lift_witness(done.witness, hom.target_table, k))
+            estimates.append(NormEstimate(value=done.value, witness=lifted, meta=dict(done.meta)))
+            continue
         hints = (estimates[-1].witness,) if estimates else ()
         estimates.append(level_k_norm(hom, k, effort=eff, seed=seed, hints=hints))
+        if k >= top:
+            done = estimates[-1]
     return estimates
 
 
@@ -233,11 +254,14 @@ class CbNormResult:
 
 
 def cb_norm(hom: InducedHom, effort="default", seed: int = 0) -> CbNormResult:
-    """Completely bounded norm, reported at the stabilization level.
+    """Completely bounded norm, with the level sequence k = 1..m.
 
-    VN(G) embeds in the matrices of size m = sum_pi d_pi(G), so the supremum
-    over amplification levels stabilizes by level m; the whole sequence
-    k = 1..m is returned to exhibit the stabilization.
+    VN(G) embeds in the matrices of size m = sum_pi d_pi(G), and the
+    sequence is reported up to m.  By Smith's lemma the norm is already
+    reached at D = max_pi d_pi(G) <= m, so the sweep searches only levels up
+    to D and every level above it carries the level-D value and the lifted
+    level-D witness (see ``_level_sweep``).  ``meta`` is that of the last
+    searched level.
     """
     m = int(sum(hom.source_table.dims))
     if m > CB_LEVEL_LIMIT:
@@ -383,7 +407,10 @@ def hom_norm_report(hom: InducedHom, levels=(1, 2), effort="default",
     """Compute ||T||, ||T^{-1}||, the requested amplified norms and distortion.
 
     Each level is seeded by the previous level's witness, so the reported
-    level-k values are nondecreasing in k.
+    level-k values are nondecreasing in k.  In each direction, levels above
+    the first requested one at or above D = max_pi d_pi of that direction's
+    source are not searched: they carry that level's value, its lifted
+    witness and a copy of its optimizer meta (see ``_level_sweep``).
     """
     eff = resolve_effort(effort)
     levels = sorted(set(int(k) for k in levels) | {1})

@@ -189,6 +189,114 @@ def test_cb_norm_shares_the_level_sweep(z6_s3_hom, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def _recording(monkeypatch, name):
+    """Replace homs.<name> by a wrapper that records (args, result) per call."""
+    original = getattr(homs_module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(homs_module, name, recording)
+    return calls
+
+
+def test_cb_norm_stops_optimizing_at_the_largest_source_block(z6_s3_hom, monkeypatch):
+    # the source of T^-1 is S3 with irrep dimensions 1, 1, 2: by Smith's
+    # lemma levels 3 and 4 equal level 2, so only levels 1 and 2 optimize
+    inv = z6_s3_hom.inverse()
+    calls = _recording(monkeypatch, "maximize_block_image")
+    sweep = _recording(monkeypatch, "level_k_norm")
+    result = fd.cb_norm(inv, effort=FAST_EFFORT, seed=1)
+    assert len(calls) == 2
+    estimates = [est for _, est in sweep]
+    assert [est.witness.level for est in estimates] == [1, 2]
+    assert [k for k, _ in result.levels] == [1, 2, 3, 4]
+    level2 = estimates[1]
+    assert result.levels[2][1] == level2.value and result.levels[3][1] == level2.value
+    assert result.value == level2.value
+    assert result.meta == level2.meta and result.meta is not level2.meta
+    # the level-4 witness is the level-2 witness padded with zeros
+    assert result.witness.level == 4
+    for rep, big, small in zip(inv.target_table.irreps, result.witness.blocks,
+                               level2.witness.blocks):
+        d = rep.dimension
+        big4 = big.reshape(4, d, 4, d).copy()
+        assert np.array_equal(big4[:2, :, :2, :], small.reshape(2, d, 2, d))
+        big4[:2, :, :2, :] = 0
+        assert not big4.any()
+    value, feasibility = reevaluate_witness(inv, result)
+    assert abs(value - result.value) <= 1e-12
+    assert feasibility <= 1.0 + 1e-9
+
+
+def test_hom_norm_report_skips_levels_above_the_largest_source_block(z6_s3_hom, monkeypatch):
+    # T has the abelian source Z6 and no optimizer call; T^-1 has the source
+    # S3, so level 3 is lifted from level 2
+    calls = _recording(monkeypatch, "maximize_block_image")
+    report = fd.hom_norm_report(z6_s3_hom, levels=(1, 2, 3), effort=FAST_EFFORT)
+    assert [args[0].k for args, _ in calls] == [1, 2]
+    assert report.level_k_norms[3] == report.level_k_norms[2]
+    assert report.witnesses[3][1].level == 3
+    # a lifted level still obeys the block size limit
+    with pytest.raises(SizeLimitError):
+        fd.hom_norm_report(z6_s3_hom, levels=(1, 2, 33), effort=FAST_EFFORT)
+
+
+def test_cb_norm_abelian_source_evaluates_the_closed_form_once(z6_s3_hom, monkeypatch):
+    sweep = _recording(monkeypatch, "level_k_norm")
+    result = fd.cb_norm(z6_s3_hom)
+    assert len(sweep) == 1
+    assert len(result.levels) == 6
+    assert {v for _, v in result.levels} == {sweep[0][1].value}
+
+
+# cb_norm level values of T^-1 at scan effort, seed 0, for the 12
+# Aut(Z6) x Aut(S3) orbit representatives t (levels 1..4), and of both
+# directions of two D4/Q8 maps (levels 1..6).  They are certified lower
+# bounds, so a change to the sweep may raise them but must not lower any
+CB_SCAN_VALUES = {
+    ("Z6", "S3", (0, 1, 2, 3, 4, 5), True): (1.4142135623730951, 1.4142135623730954, 1.4142135623730956, 1.414213562373096),
+    ("Z6", "S3", (0, 1, 2, 3, 5, 4), True): (2.1547005383792515, 2.154700538379252, 2.154700538379252, 2.1547005383792524),
+    ("Z6", "S3", (0, 1, 2, 4, 3, 5), True): (2.154700538379252, 2.1547005383792515, 2.1547005383792515, 2.1547005383792515),
+    ("Z6", "S3", (0, 1, 2, 4, 5, 3), True): (2.1547005383792515, 2.154700538379252, 2.154700538379252, 2.1547005383792524),
+    ("Z6", "S3", (0, 1, 2, 5, 3, 4), True): (2.154700538379252, 2.1547005383792515, 2.1547005383792515, 2.1547005383792515),
+    ("Z6", "S3", (0, 1, 2, 5, 4, 3), True): (1.4142135623730954, 1.4142135623730954, 1.414213562373096, 1.4142135623730963),
+    ("Z6", "S3", (0, 1, 3, 2, 5, 4), True): (2.1547005383792515, 2.154700538379252, 2.154700538379252, 2.1547005383792515),
+    ("Z6", "S3", (0, 1, 3, 4, 5, 2), True): (2.1547005383792515, 2.154700538379252, 2.154700538379252, 2.1547005383792515),
+    ("Z6", "S3", (0, 1, 4, 2, 5, 3), True): (1.666666666666667, 1.666666666666667, 1.666666666666667, 1.666666666666668),
+    ("Z6", "S3", (0, 1, 4, 3, 5, 2), True): (1.666666666666667, 1.666666666666667, 1.666666666666667, 1.6666666666666667),
+    ("Z6", "S3", (0, 2, 1, 3, 5, 4), True): (1.66551626601493, 1.6666666666666665, 1.6666666666666663, 1.6666666666666665),
+    ("Z6", "S3", (0, 2, 1, 4, 5, 3), True): (1.66551626601493, 1.6666666666666665, 1.666666666666667, 1.666666666666667),
+    ("D4", "Q8", (0, 1, 2, 3, 4, 5, 6, 7), False): (2.0, 2.1213203435596384, 2.121320343559641, 2.121320343559642, 2.1213203435596406, 2.1213203435596437),
+    ("D4", "Q8", (0, 1, 2, 3, 4, 5, 6, 7), True): (1.7320508075688728, 2.414213562373096, 2.414213562373096, 2.4142135623730954, 2.4142135623730963, 2.414213562373097),
+    ("D4", "Q8", (0, 4, 1, 3, 2, 5, 6, 7), False): (2.414213562373095, 2.4142135623730954, 2.414213562373095, 2.414213562373095, 2.4142135623730954, 2.414213562373096),
+    ("D4", "Q8", (0, 4, 1, 3, 2, 5, 6, 7), True): (2.2956453952463183, 2.4142135623730945, 2.4142135623730945, 2.4142135623730945, 2.4142135623730945, 2.4142135623730945),
+}
+
+
+def test_cb_norm_scan_values_never_drop(z6, s3):
+    t6, t3 = fd.irrep_table_for(z6), fd.irrep_table_for(s3)
+    reps, _ = _orbit_transports(z6, s3, [b.map for b in fd.enumerate_bijections(z6, s3)])
+    assert {("Z6", "S3", tuple(mp.tolist()), True) for mp in reps} \
+        == {key for key in CB_SCAN_VALUES if key[0] == "Z6"}
+    eff = fd.resolve_effort("default").for_scan()
+    for (source, target, mapping, inverse), pinned in CB_SCAN_VALUES.items():
+        g, h = (fd.parse_group_spec(s) for s in (source, target))
+        hom = fd.induced_hom(fd.irrep_table_for(g), fd.irrep_table_for(h), np.array(mapping))
+        if inverse:
+            hom = hom.inverse()
+        result = fd.cb_norm(hom, effort=eff, seed=0)
+        assert [k for k, _ in result.levels] == list(range(1, len(pinned) + 1))
+        for (_, value), old in zip(result.levels, pinned):
+            assert value >= old - 1e-12
+        recomputed, feasibility = reevaluate_witness(hom, result)
+        assert abs(recomputed - result.value) <= 1e-9
+        assert feasibility <= 1.0 + 1e-9
+
+
 def test_cb_norm_size_limit():
     z16 = fd.make_cyclic(16)
     t16 = fd.irrep_table_for(z16)
