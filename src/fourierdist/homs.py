@@ -25,7 +25,6 @@ from .optim import (BlockLinearMap, _best_block, _polish_step, haar_unitary,
                     maximize_block_image, resolve_effort, top_singular_values)
 
 LEVEL_DIM_LIMIT = 64
-CB_LEVEL_LIMIT = 8
 
 
 @dataclass(eq=False)
@@ -251,6 +250,7 @@ class CbNormResult:
     levels: list[tuple[int, float]]
     witness: Witness
     meta: dict
+    metas: list[dict]
 
 
 def cb_norm(hom: InducedHom, effort="default", seed: int = 0) -> CbNormResult:
@@ -260,16 +260,17 @@ def cb_norm(hom: InducedHom, effort="default", seed: int = 0) -> CbNormResult:
     sequence is reported up to m.  By Smith's lemma the norm is already
     reached at D = max_pi d_pi(G) <= m, so the sweep searches only levels up
     to D and every level above it carries the level-D value and the lifted
-    level-D witness (see ``_level_sweep``).  ``meta`` is that of the last
-    searched level.
+    level-D witness (see ``_level_sweep``).  ``metas`` has one meta per level
+    (a lifted level's is a copy of its searched level's), ``meta`` the last;
+    level m must fit ``LEVEL_DIM_LIMIT``, checked before any search.
     """
     m = int(sum(hom.source_table.dims))
-    if m > CB_LEVEL_LIMIT:
-        raise SizeLimitError(f"stabilization level {m} exceeds the cap {CB_LEVEL_LIMIT}")
+    _check_level(hom, m)
     estimates = _level_sweep(hom, range(1, m + 1), resolve_effort(effort), seed)
     return CbNormResult(value=estimates[-1].value,
                         levels=[(k, est.value) for k, est in enumerate(estimates, start=1)],
-                        witness=estimates[-1].witness, meta=estimates[-1].meta)
+                        witness=estimates[-1].witness, meta=estimates[-1].meta,
+                        metas=[est.meta for est in estimates])
 
 
 def _conv_sum_matrix(group: FiniteGroup, b: np.ndarray) -> np.ndarray:

@@ -75,11 +75,6 @@ def _translate_rows(g: FiniteGroup, a: int, m: np.ndarray) -> np.ndarray:
     return m[g.table[g.inverses[a]]]
 
 
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
 def _restriction(g: FiniteGroup, basis: np.ndarray) -> np.ndarray:
     """Restrict the regular representation to the span of the given
     orthonormal columns; returns a stack (n, d, d)."""
@@ -149,7 +144,8 @@ def _eigensplit(group: FiniteGroup, rng: np.random.Generator) -> list[Irrep]:
         char = np.trace(mats, axis1=1, axis2=2)
         if any(np.abs(char - kc).max() < 1e-6 for kc in kept_chars):
             continue
-        mats = np.stack([_polar_unitary(m) for m in mats])
+        u, _, vh = np.linalg.svd(mats)
+        mats = u @ vh
         mats[0] = np.eye(mats.shape[1], dtype=complex)
         kept_chars.append(char)
         reps.append(Irrep(dimension=mats.shape[1], matrices=mats))

@@ -11,12 +11,13 @@ multi-start ascent that replaces each input block by the polar factor of
 its gradient block, the exact maximizer of the linearization over the unit
 polyball (the power method for a convex objective: a step never lowers the
 objective, so it climbs from every start), and a coarse random-sampling
-oracle over unitary tuples.
+oracle over unitary tuples.  Every block norm comes from one kernel,
+``top_singular_values``: closed forms for 1x1 and 2x2 blocks, LAPACK beyond,
+and ``np.linalg.LinAlgError`` on non-finite input of any block size.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +85,34 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def top_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack of shape (..., m, n)."""
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    """Largest singular value of each matrix in a stack of shape (..., m, n):
+    |m_00| for 1x1 blocks, a closed form for 2x2 blocks, LAPACK for larger ones.
+    Non-finite input raises ``np.linalg.LinAlgError`` on every block size."""
+    if stack.shape[-2:] == (2, 2):
+        # eigenvalues of m m^* = [[p, q], [conj(q), r]], without the cancellation
+        # of frob^4 - 4 |det|^2 when the singular values are close
+        a, b, c, e = stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1]
+        with np.errstate(all="ignore"):
+            p = abs(a) ** 2 + abs(b) ** 2
+            r = abs(c) ** 2 + abs(e) ** 2
+            q = a * c.conj() + b * e.conj()
+            top = np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, abs(q)))
+        # accurate to rounding inside this range, exact on zero blocks; else LAPACK
+        ok = (top > 1e-140) & (top < 1e140)
+        if ok.all() or (ok | ~stack.any(axis=(-2, -1))).all():
+            return top
+    if stack.shape[-2:] == (1, 1):
+        top = abs(stack[..., 0, 0])
+    else:
+        top = np.linalg.svd(stack, compute_uv=False)[..., 0]
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError("non-finite entries in top_singular_values")
+    return top
 
 
 def top_singular_value(m: np.ndarray) -> float:
-    """Largest singular value, with closed forms for 1x1 and 2x2 blocks."""
-    d = m.shape[0]
-    if d == 1:
-        return float(abs(m[0, 0]))
-    if d == 2:
-        # eigenvalues of m m^* = [[p, q], [conj(q), r]], without the
-        # cancellation of frob^4 - 4 |det|^2 when the singular values are close
-        a, b, c, e = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        p = abs(a) ** 2 + abs(b) ** 2
-        r = abs(c) ** 2 + abs(e) ** 2
-        q = a * c.conjugate() + b * e.conjugate()
-        return math.sqrt((p + r) / 2.0 + math.hypot((p - r) / 2.0, abs(q)))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    """Largest singular value of one matrix."""
+    return float(top_singular_values(m))
 
 
 def clip_to_ball(m: np.ndarray) -> np.ndarray:
@@ -162,23 +173,16 @@ class BlockLinearMap:
                     self._off_in[j]:self._off_in[j + 1]] = big.reshape(rows, cols)
         return mat
 
-    def vec_in(self, blocks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate([b.ravel() for b in blocks])
-
-    def unvec_in(self, v: np.ndarray) -> list[np.ndarray]:
-        return [v[self._off_in[j]:self._off_in[j + 1]].reshape(s, s)
-                for j, s in enumerate(self.sizes_in)]
-
-    def unvec_out(self, v: np.ndarray) -> list[np.ndarray]:
-        return [v[self._off_out[i]:self._off_out[i + 1]].reshape(s, s)
-                for i, s in enumerate(self.sizes_out)]
+    @staticmethod
+    def _matvec(mat: np.ndarray, blocks: list[np.ndarray], off, sizes) -> list[np.ndarray]:
+        v = mat @ np.concatenate([b.ravel() for b in blocks])
+        return [v[off[i]:off[i + 1]].reshape(s, s) for i, s in enumerate(sizes)]
 
     def apply(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        return self.unvec_out(self.matrix @ self.vec_in(blocks))
+        return self._matvec(self.matrix, blocks, self._off_out, self.sizes_out)
 
     def adjoint(self, blocks_out: list[np.ndarray]) -> list[np.ndarray]:
-        vec = np.concatenate([b.ravel() for b in blocks_out])
-        return self.unvec_in(self.matrix_h @ vec)
+        return self._matvec(self.matrix_h, blocks_out, self._off_in, self.sizes_in)
 
     def apply_batch(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
         """Batched apply; stacks[j] has shape (N, k*din, k*din)."""
@@ -195,8 +199,7 @@ def _best_block(blocks: list[np.ndarray]):
     i = int(np.argmax(vals))
     blk = blocks[i]
     if blk.shape[0] == 1:
-        a = abs(blk[0, 0])
-        u = blk[:, 0] / a if a > 0 else np.ones(1, dtype=complex)
+        u = blk[:, 0] / vals[i] if vals[i] > 0 else np.ones(1, dtype=complex)
         return vals[i], i, u, np.ones(1, dtype=complex)
     u, s, vh = np.linalg.svd(blk)
     return float(s[0]), i, u[:, 0], vh[0].conj()
@@ -248,8 +251,7 @@ def _sample_oracle(linmap: BlockLinearMap, total: int, seed: int):
         rng = np.random.default_rng([seed, 90_000 + ci])
         stacks = [haar_unitaries(rng, m, linmap.k * d) for d in linmap.dims_in]
         images = linmap.apply_batch(stacks)
-        norms = np.stack([top_singular_values(img) for img in images])
-        vals = norms.max(axis=0)
+        vals = np.max([top_singular_values(img) for img in images], axis=0)
         j = int(vals.argmax())
         if vals[j] > best_val:
             best_val = float(vals[j])

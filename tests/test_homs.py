@@ -297,12 +297,56 @@ def test_cb_norm_scan_values_never_drop(z6, s3):
         assert feasibility <= 1.0 + 1e-9
 
 
-def test_cb_norm_size_limit():
-    z16 = fd.make_cyclic(16)
-    t16 = fd.irrep_table_for(z16)
-    hom = fd.induced_hom(t16, t16, np.arange(16))
+def test_cb_norm_size_limit(monkeypatch):
+    # m = 16 levels of 1x1 source blocks fit the block size limit: the closed
+    # form is evaluated once and every level carries its value
+    z16, z2z8 = fd.make_cyclic(16), fd.parse_group_spec("Z2xZ8")
+    hom = fd.induced_hom(fd.irrep_table_for(z16), fd.irrep_table_for(z2z8), np.arange(16))
+    result = fd.cb_norm(hom, effort=FAST_EFFORT)
+    assert [k for k, _ in result.levels] == list(range(1, 17))
+    exact = abelian_induced_norm(z16, z2z8, np.arange(16))
+    for _, value in result.levels:
+        assert value == pytest.approx(exact, abs=1e-12)
+    # level m = 24 with the 3x3 blocks of the target S4 is 72 > LEVEL_DIM_LIMIT:
+    # refused before any level is searched
+    calls = _recording(monkeypatch, "maximize_block_image")
+    sweep = _recording(monkeypatch, "level_k_norm")
+    hom = fd.induced_hom(fd.irrep_table_for(fd.make_cyclic(24)),
+                         fd.irrep_table_for(fd.make_symmetric(4)), np.arange(24))
     with pytest.raises(SizeLimitError):
         fd.cb_norm(hom, effort=FAST_EFFORT)
+    assert calls == [] and sweep == []
+
+
+def test_cb_norm_of_an_s4_source_is_flat_from_level_three(monkeypatch):
+    # S4 has irrep dimensions 1, 1, 2, 3, 3: m = 10 levels are reported, the
+    # sweep optimizes levels 1 to 3 and every later level carries level 3
+    calls = _recording(monkeypatch, "maximize_block_image")
+    hom = fd.induced_hom(fd.irrep_table_for(fd.make_symmetric(4)),
+                         fd.irrep_table_for(fd.parse_group_spec("D12")), np.arange(24))
+    result = fd.cb_norm(hom, effort=FAST_EFFORT)
+    assert [args[0].k for args, _ in calls] == [1, 2, 3]
+    values = [value for _, value in result.levels]
+    assert [k for k, _ in result.levels] == list(range(1, 11))
+    assert values[3:] == [values[2]] * 7
+    for lo, hi in zip(values, values[1:]):
+        assert hi >= lo - 1e-12
+    recomputed, feasibility = reevaluate_witness(hom, result)
+    assert abs(recomputed - result.value) <= 1e-9
+    assert feasibility <= 1.0 + 1e-9
+
+
+def test_cb_norm_keeps_one_meta_per_level(z6_s3_hom, monkeypatch):
+    # levels 1 and 2 of T^-1 are searched; levels 3 and 4 carry copies of
+    # level 2's meta
+    sweep = _recording(monkeypatch, "level_k_norm")
+    result = fd.cb_norm(z6_s3_hom.inverse(), effort=FAST_EFFORT, seed=1)
+    assert len(result.metas) == len(result.levels) == 4
+    searched = [est.meta for _, est in sweep]
+    assert result.metas[:2] == searched and result.metas[0] is searched[0]
+    for lifted in result.metas[2:]:
+        assert lifted == searched[1] and lifted is not searched[1]
+    assert result.meta == result.metas[-1]
 
 
 def test_jordan_defect_of_isomorphism(z6):

@@ -3,10 +3,29 @@ import pytest
 
 import fourierdist as fd
 from fourierdist.optim import (BlockLinearMap, _best_block, _polish_step, clip_to_ball,
-                               maximize_block_image, top_singular_value)
+                               haar_unitaries, maximize_block_image, top_singular_value,
+                               top_singular_values)
 from fourierdist.search import _orbit_transports
 
 from conftest import reevaluate_witness
+
+
+def _lapack_top(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _special_blocks(rng, shape, d):
+    """Zero, rank-one and equal-singular-value blocks mixed into a random stack."""
+    n = int(np.prod(shape))
+    stack = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    stack *= 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    stack[0::4] = 0
+    u = rng.standard_normal((n, d, 1)) + 1j * rng.standard_normal((n, d, 1))
+    v = rng.standard_normal((n, 1, d)) + 1j * rng.standard_normal((n, 1, d))
+    stack[1::4] = (u @ v)[1::4]
+    scales = 10.0 ** rng.uniform(-3, 3, size=n)
+    stack[2::4] = scales[2::4, None, None] * haar_unitaries(rng, n, d)[2::4]
+    return stack.reshape(*shape, d, d)
 
 
 def test_top_singular_value_2x2_close_singular_values():
@@ -22,14 +41,80 @@ def test_top_singular_value_2x2_close_singular_values():
         m = scale * fd.haar_unitary(rng, 2)
         worst = max(worst, abs(top_singular_value(m) - scale) / scale)
     assert worst < 1e-14
+    # the same blocks as stacks, with leading shapes (500,) and (5, 4)
+    for shape in ((500,), (5, 4)):
+        scales = 10.0 ** rng.uniform(-3, 3, size=shape)
+        stack = scales[..., None, None] * haar_unitaries(
+            rng, int(np.prod(shape)), 2).reshape(*shape, 2, 2)
+        top = top_singular_values(stack)
+        assert top.shape == shape
+        assert np.all(np.abs(top - scales) <= 1e-14 * scales)
 
 
-def test_top_singular_value_2x2_matches_svd():
+def test_top_singular_value_2x2_matches_svd(monkeypatch):
     rng = np.random.default_rng(13)
     for _ in range(500):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         exact = np.linalg.svd(m, compute_uv=False)[0]
         assert abs(top_singular_value(m) - exact) <= 1e-14 * exact
+    # stacks of 1x1 and 2x2 blocks, with zero, rank-one and equal-singular-value
+    # blocks among them, agree with LAPACK block by block without calling it
+    cases = []
+    for d in (1, 2):
+        for shape in ((500,), (5, 4)):
+            stack = _special_blocks(rng, shape, d)
+            cases.append((stack, _lapack_top(stack)))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", None)
+        for stack, exact in cases:
+            top = top_singular_values(stack)
+            assert top.shape == exact.shape
+            assert np.all(np.abs(top - exact) <= 1e-14 * exact)
+            assert np.all(top[exact == 0] == 0)
+            d = stack.shape[-1]
+            for m, value in zip(stack.reshape(-1, d, d), exact.ravel()):
+                assert abs(top_singular_value(m) - value) <= 1e-14 * value
+    # a stack with a block far outside the closed form's range goes to LAPACK
+    stack = _special_blocks(rng, (8,), 2)
+    stack[3] *= 1e-170
+    stack[5] *= 1e170
+    assert np.all(np.abs(top_singular_values(stack) - _lapack_top(stack))
+                  <= 1e-14 * _lapack_top(stack))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_top_singular_values_refuses_non_finite_input(d):
+    # LAPACK raises on NaN but returns NaN for inf; the kernel refuses both,
+    # on a stack and on a single block
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 1.0), complex(0.0, np.nan)):
+        stack = np.ones((5, 4, d, d), dtype=complex)
+        stack[2, 1, 0, d - 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            top_singular_values(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            top_singular_value(stack[2, 1])
+
+
+def test_top_singular_values_keeps_1x1_and_2x2_blocks_off_lapack(monkeypatch):
+    # the kernel's contract: during the optimizer's ascent and sampling oracle
+    # on the Z6/S3 T^-1 level-1 and level-2 maps, no singular-values-only LAPACK
+    # call gets 1x1 or 2x2 blocks; level 2 still sends its 4x4 blocks there
+    original = np.linalg.svd
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a)[-2:])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    z6, s3 = fd.make_cyclic(6), fd.make_symmetric(3)
+    hom = fd.induced_hom(fd.irrep_table_for(z6), fd.irrep_table_for(s3), np.arange(6)).inverse()
+    for k in (1, 2):
+        value, _, meta = maximize_block_image(hom.linear_map(k), fd.Effort(restarts=4, samples=4096))
+        assert "sampling_value" in meta
+        assert abs(value - np.sqrt(2)) <= 1e-9
+    assert shapes and all(shape == (4, 4) for shape in shapes)
 
 
 def _random_linmap(rng, dims_in, dims_out, k):
