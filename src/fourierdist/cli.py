@@ -200,10 +200,7 @@ def cmd_scan(args) -> int:
         "min_distortion": result.min_distortion,
         "argmin_distortion": [int(x) for x in result.argmin_distortion.map],
         "min_level2": result.min_level2,
-        "verdicts": {
-            name: {k: v for k, v in verdict.items() if k != "values"}
-            for name, verdict in result.threshold_verdicts.items()
-        },
+        "verdicts": result.threshold_verdicts,
         "meta": result.meta,
         "seed": args.seed,
     }

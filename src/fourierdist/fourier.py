@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GroupMismatchError, NumericInputError
 from .groups import FiniteGroup, _ReadOnlyArrays
 from .irreps import IrrepTable
-from .optim import polar_factor
+from .optim import polar_factor, top_singular_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +106,7 @@ def fourier_inverse(b: FourierBlocks) -> AFunction:
 
 def a_norm(f: AFunction, t: IrrepTable) -> float:
     """The Fourier-algebra norm sum_pi (d_pi/|G|) ||F_pi||_1."""
-    blocks = fourier_transform(f, t)
-    n = t.group.order
-    return float(sum(rep.dimension / n * schatten_norm(blk, 1)
-                     for rep, blk in zip(t.irreps, blocks.blocks)))
+    return float(sum(c["contribution"] for c in a_norm_contributions(f, t)))
 
 
 def a_norm_contributions(f: AFunction, t: IrrepTable) -> list[dict]:
@@ -154,9 +151,20 @@ def vn_blocks(x: GroupAlgebraElement, t: IrrepTable) -> list[np.ndarray]:
     return blocks_from_coeffs(t, x.coeffs)
 
 
+def vn_norm_coeffs(t: IrrepTable, coeffs: np.ndarray) -> float:
+    """Operator norm of sum_g C_g (x) lambda_g, the largest block norm, for
+    coefficients of shape (n,) or (n, k, k): the one VN(G) norm."""
+    return max(float(top_singular_values(blk)) for blk in blocks_from_coeffs(t, coeffs))
+
+
 def vn_norm(x: GroupAlgebraElement, t: IrrepTable) -> float:
     """Operator norm of sum_g c_g lambda_g, i.e. the largest block norm."""
-    return max(schatten_norm(blk, np.inf) for blk in vn_blocks(x, t))
+    _require_same_group(x.group, t)
+    try:
+        return vn_norm_coeffs(t, x.coeffs)
+    except np.linalg.LinAlgError:
+        # non-finite coefficients, or finite ones whose blocks overflow
+        raise NumericInputError("block entries must be finite") from None
 
 
 def vn_element_from_blocks(t: IrrepTable, blocks: list[np.ndarray]) -> GroupAlgebraElement:
@@ -194,16 +202,16 @@ def function_from_cyclic_coeffs(g: FiniteGroup, coeffs) -> AFunction:
     return AFunction(group=g, values=c @ chars)
 
 
-def dual_norm_witness(f: AFunction, t: IrrepTable, iters: int = 25,
+def dual_norm_witness(f: AFunction, t: IrrepTable,
                       seed: int = 0) -> tuple[float, GroupAlgebraElement]:
     """The element of the unit ball of VN(G) that attains ||f||_A = max |<x, f>|.
 
     Each block is the polar alignment X_pi = (U V^*)^* of the transform block
     F_pi = U S V^*, so Re tr(X_pi F_pi) = ||F_pi||_1 and the pairing equals
     ||f||_A exactly.  Returns the pairing at that element (a certified lower
-    bound of ||f||_A, equal to it up to rounding) and the element.  ``iters``
-    and ``seed`` are accepted for compatibility and ignored: the closed form
-    needs no search.
+    bound of ||f||_A, equal to it up to rounding) and the element.  ``seed``
+    is accepted for compatibility and ignored: the closed form needs no
+    search.
     """
     blocks_f = fourier_transform(f, t).blocks
     n = t.group.order

@@ -42,7 +42,6 @@ class FiniteGroup(_ReadOnlyArrays):
     table: np.ndarray
     inverses: np.ndarray
     label: str = "G"
-    identity: int = 0
 
     def __post_init__(self):
         self.table.setflags(write=False)

@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import GroupMismatchError, SizeLimitError
 from .fourier import (AFunction, GroupAlgebraElement, blocks_from_coeffs, coeffs_from_blocks,
-                      dual_norm_witness)
+                      dual_norm_witness, vn_norm_coeffs)
 from .groups import FiniteGroup, GroupBijection
 from .irreps import IrrepTable
 from .optim import (BlockLinearMap, _best_block, _polish_step, haar_unitary,
-                    maximize_block_image, resolve_effort, top_singular_values)
+                    maximize_block_image, resolve_effort)
 
 LEVEL_DIM_LIMIT = 64
 
@@ -38,7 +38,7 @@ class InducedHom:
     bijection: GroupBijection
     source_table: IrrepTable
     target_table: IrrepTable
-    _kernels: list | None = field(default=None, repr=False)
+    _kernels: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not np.array_equal(self.bijection.target.table, self.source_table.group.table):
@@ -130,8 +130,8 @@ class Witness:
 
 
 def _witness_value(hom: InducedHom, witness: Witness) -> float:
-    """The objective max_pi ||sum_h C_h (x) pi(t(h))|| at a witness, by SVD."""
-    return _vn_norm_coeffs(hom.source_table, _push(hom, witness.matrix_coefficients(hom)))
+    """The objective max_pi ||sum_h C_h (x) pi(t(h))|| at a witness."""
+    return vn_norm_coeffs(hom.source_table, _push(hom, witness.matrix_coefficients(hom)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,11 +296,6 @@ def _jordan_coeffs(hom: InducedHom, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _jordan_operator(hom, b) @ a
 
 
-def _vn_norm_coeffs(table: IrrepTable, coeffs: np.ndarray) -> float:
-    """Operator norm of sum_g C_g (x) lambda_g: the largest block norm, by SVD."""
-    return max(float(top_singular_values(blk)) for blk in blocks_from_coeffs(table, coeffs))
-
-
 def jordan_defect(hom: InducedHom, samples: int = 256, seed: int = 0,
                   refine_rounds: int = 25) -> float:
     """Lower-bound estimate of the Jordan defect of T* over unit-ball pairs.
@@ -315,7 +310,7 @@ def jordan_defect(hom: InducedHom, samples: int = 256, seed: int = 0,
     rng = np.random.default_rng([seed, 7])
 
     def defect(a, b):
-        return _vn_norm_coeffs(hom.source_table, _jordan_coeffs(hom, a, b))
+        return vn_norm_coeffs(hom.source_table, _jordan_coeffs(hom, a, b))
 
     candidates = []
     eye_n = np.eye(n, dtype=complex)
@@ -362,10 +357,10 @@ def _refine_jordan_pair(hom: InducedHom, a0: np.ndarray, b0: np.ndarray,
         y = blocks_from_coeffs(g_table, lin @ var)
         _, idx, u, v = _best_block(y)
         new = coeffs_from_blocks(h_table, _polish_step(adjoint, y, idx, u, v))[:, 0, 0]
-        return new, _vn_norm_coeffs(g_table, lin @ new)
+        return new, vn_norm_coeffs(g_table, lin @ new)
 
     a, b = a0.copy(), b0.copy()
-    best = _vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
+    best = vn_norm_coeffs(g_table, _jordan_coeffs(hom, a, b))
     for _ in range(rounds):
         improved = False
         for which in (0, 1):

@@ -176,9 +176,9 @@ def irreps_of(g: FiniteGroup, seed: int = 0) -> IrrepTable:
         f"{MAX_RETRIES} attempts:\n" + "\n".join(diagnostics))
 
 
-def validate_irrep_table(t: IrrepTable, tol: float = TOL_REP) -> None:
-    """Raise ValueError when any IrrepTable invariant fails."""
-    problems = _validate(t.group, t.irreps, tol)
+def validate_irrep_table(t: IrrepTable) -> None:
+    """Raise ValueError when any IrrepTable invariant fails at ``TOL_REP``."""
+    problems = _validate(t.group, t.irreps, TOL_REP)
     if problems:
         raise ValueError("invalid irrep table: " + "; ".join(problems))
 

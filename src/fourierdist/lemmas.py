@@ -17,7 +17,8 @@ import numpy as np
 from .groups import FiniteGroup
 from .homs import jordan_defect, op_norm
 from .irreps import IrrepTable
-from .optim import haar_unitaries, haar_unitary, resolve_effort, top_singular_values
+from .optim import (haar_unitaries, haar_unitary, resolve_effort, top_singular_pair,
+                    top_singular_values)
 
 MARGIN_TOL = 1e-9
 FOUR_TERM_TOL = 1e-10
@@ -112,17 +113,16 @@ def _adversarial_descent(lemma: _BlockLemma, starts: list[dict], iters: int = 60
         margin_prev = None
         for _ in range(iters):
             w["x"] = x
-            bu, bs, bvh = np.linalg.svd(lemma.block(w)[0])
-            c = max(bs[0] / SQRT2, 1.0)
-            bound = 2.0 * np.sqrt(max(c * c - 1.0, 0.0))
-            du, ds, dvh = np.linalg.svd((x - centre)[0])
-            margin = float(bound - ds[0])
+            bs, bu, bv = top_singular_pair(lemma.block(w)[0])
+            ds, du, dv = top_singular_pair((x - centre)[0])
+            margin = float(_bound_from_block_norm(bs) - ds)
             if margin < worst:
                 worst = margin
                 worst_cfg = {name: a[0].copy() for name, a in w.items()}
             # gradient of (||x - centre|| - bound) with respect to x
-            g_target = np.outer(du[:, 0], dvh[0])
-            g_block = np.outer(bu[:, 0], bvh[0])[row * d:(row + 1) * d, col * d:(col + 1) * d]
+            g_target = np.outer(du, dv.conj())
+            g_block = np.outer(bu, bv.conj())[row * d:(row + 1) * d, col * d:(col + 1) * d]
+            c = max(bs / SQRT2, 1.0)
             factor = min(2.0 * c / np.sqrt(max(c * c - 1.0, 1e-12)), 1e6) / SQRT2
             x = x + step * (g_target - factor * g_block)
             if margin_prev is not None and margin > margin_prev:
@@ -243,7 +243,7 @@ def verify_norm_gap(g: FiniteGroup, t: IrrepTable, random_trials: int = 10_000,
         "group": g.label,
         "four_term_nonzero_min": nonzero_min,
         "four_term_zero_max": zero_max,
-        "euclidean_worst_margin": lb_worst,
+        "euclidean_worst_margin": lb_worst if random_trials else None,
         "quadruples": int(n ** 4),
     }
     return LemmaReport("norm_gap", int(n ** 4) + random_trials, float(worst),

@@ -115,6 +115,18 @@ def top_singular_value(m: np.ndarray) -> float:
     return float(top_singular_values(m))
 
 
+def top_singular_pair(m: np.ndarray):
+    """(s, u, v): the largest singular value of one matrix and unit vectors
+    with m v = s u; a closed form for 1x1 blocks, one SVD beyond."""
+    if m.shape[0] == 1:
+        # s from the kernel, not Python's abs, so that it matches the value pass
+        s = top_singular_value(m)
+        u = m[:, 0] / s if s > 0 else np.ones(1, dtype=complex)
+        return s, u, np.ones(1, dtype=complex)
+    u, sv, vh = np.linalg.svd(m)
+    return float(sv[0]), u[:, 0], vh[0].conj()
+
+
 def clip_to_ball(m: np.ndarray) -> np.ndarray:
     """Project onto the spectral unit ball by clipping singular values."""
     if m.shape[0] == 1:
@@ -194,28 +206,19 @@ class BlockLinearMap:
 
 
 def _best_block(blocks: list[np.ndarray]):
-    """Largest block spectral norm with its top singular pair."""
-    vals = [top_singular_value(blk) for blk in blocks]
-    i = int(np.argmax(vals))
-    blk = blocks[i]
-    if blk.shape[0] == 1:
-        u = blk[:, 0] / vals[i] if vals[i] > 0 else np.ones(1, dtype=complex)
-        return vals[i], i, u, np.ones(1, dtype=complex)
-    u, s, vh = np.linalg.svd(blk)
-    return float(s[0]), i, u[:, 0], vh[0].conj()
-
-
-def _gradient(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.ndarray):
-    """L^*(u v^*): the gradient of Re <u, L(x)_idx v> for the image y = L(x)."""
-    seed_blocks = [np.zeros(b.shape, dtype=complex) for b in y]
-    seed_blocks[idx] = np.outer(u, v.conj())
-    return adjoint(seed_blocks)
+    """Largest block spectral norm with its index and top singular pair."""
+    i = int(np.argmax([top_singular_value(blk) for blk in blocks]))
+    s, u, v = top_singular_pair(blocks[i])
+    return s, i, u, v
 
 
 def _polish_step(adjoint, y: list[np.ndarray], idx: int, u: np.ndarray, v: np.ndarray):
-    """Polar factors of the gradient: the maximizer of the linearization at y
-    over the unit polyball (a positive factor per gradient block is harmless)."""
-    return [polar_factor(gb) for gb in _gradient(adjoint, y, idx, u, v)]
+    """Polar factors of the gradient L^*(u v^*) of Re <u, L(x)_idx v> at the
+    image y = L(x): the maximizer of the linearization at y over the unit
+    polyball (a positive factor per gradient block is harmless)."""
+    seed_blocks = [np.zeros(b.shape, dtype=complex) for b in y]
+    seed_blocks[idx] = np.outer(u, v.conj())
+    return [polar_factor(gb) for gb in adjoint(seed_blocks)]
 
 
 def _ascend(linmap: BlockLinearMap, start: list[np.ndarray]):

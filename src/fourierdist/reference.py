@@ -114,9 +114,9 @@ def build_reference_rows(effort="default", seed: int = 0, irrep_provider=None):
         f = function_from_cyclic_coeffs(s3, coeffs)
         block = np.einsum("g,gba->ab", f.values, pim.conj()) / 6.0
         formula = two_dim_block_formula(coeffs)
-        sv_err = max(sv_err, float(np.abs(
-            np.linalg.svd(block, compute_uv=False)
-            - np.linalg.svd(formula, compute_uv=False)).max()))
+        # a 2x2 block's singular values are fixed by its trace and operator norms
+        sv_err = max(sv_err, *(abs(schatten_norm(block, p) - schatten_norm(formula, p))
+                               for p in (1, np.inf)))
         phase_err = max(phase_err, float(np.abs(block - d1 @ formula.T @ d2).max()))
     rows.append(ReferenceRow("S3 2-dim block singular values match formula",
                              0.0, sv_err, 1e-9))

@@ -29,6 +29,9 @@ EXHAUSTIVE_ORDER_LIMIT = 8
 DEFAULT_SAMPLE_SIZE = 10_000
 SQRT_3_2 = math.sqrt(1.5)
 SQRT5_OVER_2 = math.sqrt(5.0) / 2.0
+# slack around 1 and around the thresholds in norm_gap_scan's verdicts
+DELTA = 1e-6
+DELTA_GAP = 1e-3
 
 
 def enumerate_bijections(g: FiniteGroup, h: FiniteGroup, seed: int = 0,
@@ -184,8 +187,8 @@ def min_distortion(g: FiniteGroup, h: FiniteGroup, effort="default", seed: int =
 
 
 def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="default",
-                  seed: int = 0, delta: float = 1e-6, delta_gap: float = 1e-3,
-                  sample_size: int = DEFAULT_SAMPLE_SIZE, jobs: int = 1) -> SearchResult:
+                  seed: int = 0, sample_size: int = DEFAULT_SAMPLE_SIZE,
+                  jobs: int = 1) -> SearchResult:
     """Level-2 norms of every canonical bijection, with threshold verdicts.
 
     Verdicts:
@@ -193,9 +196,9 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
         bijection has both directions' computed level-2 norm below sqrt(3/2);
         sound because computed values are lower bounds.
       * "level2_gap_interval" (hard): no computed level-2 value falls in the
-        open interval (1 + delta_gap, sqrt(3/2) - delta_gap).
+        open interval (1 + DELTA_GAP, sqrt(3/2) - DELTA_GAP).
       * "cb_gap_advisory" (advisory): every value lies in
-        [1-delta, 1+delta] or [sqrt(5)/2 - delta_gap, inf); flagged advisory
+        [1-DELTA, 1+DELTA] or [sqrt(5)/2 - DELTA_GAP, inf); flagged advisory
         because an under-converged lower bound may sit in the gap spuriously.
     """
     if level != 2:
@@ -209,11 +212,11 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
     if not result.meta["isomorphic"]:
         worst = min(max(r.report.level_k_norms[2]) for r in records)
         verdicts["level2_isomorphism_threshold"] = {
-            "passed": bool(worst >= SQRT_3_2 - delta_gap),
+            "passed": bool(worst >= SQRT_3_2 - DELTA_GAP),
             "margin": worst - SQRT_3_2,
             "advisory": False,
         }
-    in_gap = [v for v in values if 1.0 + delta_gap < v < SQRT_3_2 - delta_gap]
+    in_gap = [v for v in values if 1.0 + DELTA_GAP < v < SQRT_3_2 - DELTA_GAP]
     verdicts["level2_gap_interval"] = {
         "passed": not in_gap,
         "margin": min((min(v - 1.0, SQRT_3_2 - v) for v in in_gap), default=0.0),
@@ -221,19 +224,13 @@ def norm_gap_scan(g: FiniteGroup, h: FiniteGroup, level: int = 2, effort="defaul
         "violations": in_gap,
     }
     outside = [v for v in values
-               if not (1.0 - delta <= v <= 1.0 + delta or v >= SQRT5_OVER_2 - delta_gap)]
+               if not (1.0 - DELTA <= v <= 1.0 + DELTA or v >= SQRT5_OVER_2 - DELTA_GAP)]
     verdicts["cb_gap_advisory"] = {
         "passed": not outside,
         "margin": 0.0 if not outside else max(min(abs(v - 1.0), SQRT5_OVER_2 - v)
                                               for v in outside),
         "advisory": True,
         "violations": outside,
-    }
-    reported = [v for v in values if SQRT_3_2 - delta_gap <= v < SQRT5_OVER_2]
-    verdicts["between_thresholds_report"] = {
-        "passed": True,
-        "advisory": True,
-        "values": reported,
     }
     return result
 

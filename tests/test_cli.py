@@ -121,6 +121,21 @@ def test_verify_lemmas_command(capsys):
         assert r["counterexample"] is None
 
 
+def test_verify_lemmas_json_without_random_trials(capsys):
+    # with no random trial there is no Euclidean margin; the output must still
+    # be strict JSON, with no Infinity or NaN
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out = run_cli(capsys, "verify-lemmas", "--lemma", "norm_gap", "--group", "Z2",
+                        "--trials", "0", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out, parse_constant=reject)["reports"]
+    assert report["meta"]["euclidean_worst_margin"] is None
+    assert report["worst_margin"] == pytest.approx(report["meta"]["four_term_nonzero_min"]
+                                                   - SQRT2, abs=1e-15)
+
+
 def test_json_determinism(capsys):
     args = ("homnorm", "--source", "Z4", "--target", "Z2xZ2",
             "--bijection", "0,1,2,3", "--levels", "1,2", "--effort", "low",

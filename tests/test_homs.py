@@ -418,12 +418,13 @@ def test_jordan_refine_builds_one_operator_per_half_step(z6_s3_hom, monkeypatch)
 
 
 def test_jordan_dichotomy_on_basis_pairs(z6_s3_hom, s3):
-    from fourierdist.homs import _jordan_coeffs, _vn_norm_coeffs
+    from fourierdist.fourier import vn_norm_coeffs
+    from fourierdist.homs import _jordan_coeffs
     hom = z6_s3_hom
     eye = np.eye(6, dtype=complex)
     nonzero = 0
     for h1, h2 in itertools.product(range(6), repeat=2):
-        val = _vn_norm_coeffs(hom.source_table, _jordan_coeffs(hom, eye[h1], eye[h2]))
+        val = vn_norm_coeffs(hom.source_table, _jordan_coeffs(hom, eye[h1], eye[h2]))
         assert val < 1e-8 or val >= SQRT2 - 1e-6
         nonzero += val >= SQRT2 - 1e-6
     assert nonzero > 0

@@ -80,3 +80,31 @@ def test_the_check_sees_an_unused_private_name():
 def test_no_unreferenced_private_names():
     modules = {p.name: ast.parse(p.read_text()) for p in PACKAGE}
     assert unreferenced_private_names(modules) == []
+
+
+
+def svd_callers(tree: ast.Module) -> list[str]:
+    """Module-level definitions (``<module>`` for other statements) whose
+    code calls np.linalg.svd."""
+    return [getattr(top, "name", "<module>") for top in tree.body
+            if any(isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd"
+                   for node in ast.walk(top))]
+
+
+def test_the_check_sees_svd_calls():
+    tree = ast.parse("import numpy as np\nS = np.linalg.svd(np.eye(2))\n"
+                     "def f(m):\n    return np.linalg.svd(m)[1]\n"
+                     "def g(m):\n    return np.linalg.norm(m)\n"
+                     "class C:\n    def h(self, m):\n        return np.linalg.svd(m)\n")
+    assert svd_callers(tree) == ["<module>", "f", "C"]
+
+
+def test_svd_is_called_only_by_the_norm_kernels():
+    # top singular values and pairs come from optim; schatten_norm needs the
+    # whole spectrum and the irrep split needs the polar factor of a stack
+    calls = {p.name: svd_callers(ast.parse(p.read_text())) for p in PACKAGE}
+    assert {name: fns for name, fns in calls.items() if fns} == {
+        "optim.py": ["top_singular_values", "top_singular_pair", "clip_to_ball", "polar_factor"],
+        "fourier.py": ["schatten_norm"],
+        "irreps.py": ["_eigensplit"],
+    }

@@ -3,8 +3,8 @@ import pytest
 
 import fourierdist as fd
 from fourierdist.optim import (BlockLinearMap, _best_block, _polish_step, clip_to_ball,
-                               haar_unitaries, maximize_block_image, top_singular_value,
-                               top_singular_values)
+                               haar_unitaries, maximize_block_image, top_singular_pair,
+                               top_singular_value, top_singular_values)
 from fourierdist.search import _orbit_transports
 
 from conftest import reevaluate_witness
@@ -115,6 +115,28 @@ def test_top_singular_values_keeps_1x1_and_2x2_blocks_off_lapack(monkeypatch):
         assert "sampling_value" in meta
         assert abs(value - np.sqrt(2)) <= 1e-9
     assert shapes and all(shape == (4, 4) for shape in shapes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_top_singular_pair(d):
+    # m v = s u with unit u and v; s is the kernel's value, bit for bit on 1x1
+    # blocks (the ascent's value pass and its pair must agree there)
+    rng = np.random.default_rng([41, d])
+    for kind in ("random", "rank-one", "zero"):
+        for _ in range(20):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            if kind == "rank-one":
+                g = np.outer(g[:, 0], g[0].conj())
+            elif kind == "zero":
+                g = np.zeros((d, d), dtype=complex)
+            s, u, v = top_singular_pair(g)
+            assert np.abs(g @ v - s * u).max() <= 1e-13 * max(1.0, s)
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-13
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
+            if d == 1:
+                assert s == top_singular_value(g)
+            else:
+                assert abs(s - top_singular_value(g)) <= 1e-14 * s
 
 
 def _random_linmap(rng, dims_in, dims_out, k):

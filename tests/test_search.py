@@ -135,6 +135,8 @@ def test_norm_gap_scan_order_four():
     z4 = fd.make_cyclic(4)
     z22 = fd.parse_group_spec("Z2xZ2")
     result = fd.norm_gap_scan(z4, z22, level=2, effort=FAST_EFFORT)
+    assert set(result.threshold_verdicts) == {
+        "level2_isomorphism_threshold", "level2_gap_interval", "cb_gap_advisory"}
     verdict = result.threshold_verdicts["level2_isomorphism_threshold"]
     assert verdict["passed"]
     for rec in result.records:
