@@ -5,9 +5,11 @@ sends lambda_h to lambda_{t(h)} for the underlying bijection t : H -> G, so
 T is a fixed coefficient permutation and the whole difficulty sits in the
 operator-norm evaluation over the block decompositions.  Every reported
 value is achieved by an explicit feasible witness and is therefore a
-certified lower bound of the true supremum; upper bounds are never claimed.
-When the source group is abelian a closed form gives the exact value, still
-reported as the objective at its witness.
+certified lower bound of the true supremum.  Each optimizer meta also
+carries ``upper``, a Haagerup upper bound of ||T||_cb and so of every level
+(``InducedHom.upper_bound``); a value that meets it is the exact norm, and
+the search stops there.  When the source group is abelian a closed form
+gives the exact value, still reported as the objective at its witness.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .fourier import (AFunction, GroupAlgebraElement, blocks_from_coeffs, coeffs
                       dual_norm_witness, vn_norm_coeffs)
 from .groups import FiniteGroup, GroupBijection
 from .irreps import IrrepTable
-from .optim import (BlockLinearMap, _best_block, _polish_step, haar_unitary,
-                    maximize_block_image, resolve_effort)
+from .optim import (BlockLinearMap, _best_block, _polish_step, cb_upper_bound, haar_unitary,
+                    maximize_block_image, meets_upper, resolve_effort)
 
 LEVEL_DIM_LIMIT = 64
 
@@ -39,6 +41,7 @@ class InducedHom:
     source_table: IrrepTable
     target_table: IrrepTable
     _kernels: list | None = field(default=None, init=False, repr=False)
+    _upper: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not np.array_equal(self.bijection.target.table, self.source_table.group.table):
@@ -84,6 +87,14 @@ class InducedHom:
                 kernels.append(row)
             self._kernels = kernels
         return self._kernels
+
+    def upper_bound(self) -> float:
+        """Lazy upper bound of ||T||_cb, hence of ||T||_k at every level k,
+        from one SVD of the Choi matrix of T* (see ``optim.cb_upper_bound``)."""
+        if self._upper is None:
+            self._upper = cb_upper_bound(self.kernels(), self.target_table.dims,
+                                         self.source_table.dims)
+        return self._upper
 
     def linear_map(self, k: int = 1) -> BlockLinearMap:
         return BlockLinearMap(
@@ -177,7 +188,8 @@ def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
     X = sum_h C_h (x) lambda_h with max_sigma ||sum_h C_h (x) sigma(h)|| <= 1.
     When the source group is abelian the exact value is taken from the
     closed form instead; ``effort`` is then only validated, and ``seed`` and
-    ``hints`` are unused.
+    ``hints`` are unused.  Otherwise the search stops early once a witness
+    meets ``hom.upper_bound()``, recorded as ``upper`` in the meta.
     """
     _check_level(hom, k)
     eff = resolve_effort(effort)
@@ -185,7 +197,8 @@ def level_k_norm(hom: InducedHom, k: int, effort="default", seed: int = 0,
         return _abelian_source_norm(hom, k)
     linmap = hom.linear_map(k)
     extra = tuple(_lift_witness(w, hom.target_table, k) for w in hints if w.level <= k)
-    value, blocks, meta = maximize_block_image(linmap, eff, seed=seed, extra_starts=extra)
+    value, blocks, meta = maximize_block_image(linmap, eff, seed=seed, extra_starts=extra,
+                                               upper=hom.upper_bound())
     return NormEstimate(value=value, witness=Witness(level=k, blocks=blocks), meta=meta)
 
 
@@ -215,27 +228,32 @@ def _level_sweep(hom: InducedHom, levels, eff, seed: int) -> list[NormEstimate]:
     """Estimates at each level in increasing order, each seeded by the
     previous level's witness, whose lift attains the previous value.
 
-    Levels up to the first one at or above D = max_pi d_pi(G) run
-    level_k_norm.  T* maps into VN(G) = (+)_pi M_{d_pi}, so ||T||_k is the
-    largest ||T*_pi||_k, and by Smith's lemma a map into M_d has
-    ||.||_cb = ||.||_d.  Every level k >= D therefore equals the cb norm, and
-    a later level gets no optimizer call: its witness is that estimate's
+    Levels run level_k_norm until one of them equals the cb norm:
+      * the first level at or above D = max_pi d_pi(G).  T* maps into
+        VN(G) = (+)_pi M_{d_pi}, so ||T||_k is the largest ||T*_pi||_k, and
+        by Smith's lemma a map into M_d has ||.||_cb = ||.||_d;
+      * or an earlier level whose value meets ``hom.upper_bound()``
+        (``meets_upper``), an upper bound of ||T||_cb: the search there
+        already stopped at that witness.
+    A later level gets no optimizer call: its witness is that estimate's
     witness lifted to level k, its value the same value (the lift attains it
-    exactly) and its meta a copy of that estimate's meta.
+    exactly) and its meta a copy of that estimate's meta.  Only searched
+    levels are held to ``LEVEL_DIM_LIMIT`` (by level_k_norm): a lifted level
+    builds no linear map.
     """
     top = max(hom.source_table.dims)
     estimates: list[NormEstimate] = []
     done = None
     for k in levels:
         if done is not None:
-            _check_level(hom, k)
             lifted = Witness(level=k, blocks=_lift_witness(done.witness, hom.target_table, k))
             estimates.append(NormEstimate(value=done.value, witness=lifted, meta=dict(done.meta)))
             continue
         hints = (estimates[-1].witness,) if estimates else ()
-        estimates.append(level_k_norm(hom, k, effort=eff, seed=seed, hints=hints))
-        if k >= top:
-            done = estimates[-1]
+        est = level_k_norm(hom, k, effort=eff, seed=seed, hints=hints)
+        estimates.append(est)
+        if k >= top or meets_upper(est.value, est.meta.get("upper")):
+            done = est
     return estimates
 
 
@@ -258,14 +276,16 @@ def cb_norm(hom: InducedHom, effort="default", seed: int = 0) -> CbNormResult:
 
     VN(G) embeds in the matrices of size m = sum_pi d_pi(G), and the
     sequence is reported up to m.  By Smith's lemma the norm is already
-    reached at D = max_pi d_pi(G) <= m, so the sweep searches only levels up
-    to D and every level above it carries the level-D value and the lifted
-    level-D witness (see ``_level_sweep``).  ``metas`` has one meta per level
-    (a lifted level's is a copy of its searched level's), ``meta`` the last;
-    level m must fit ``LEVEL_DIM_LIMIT``, checked before any search.
+    reached at D = max_pi d_pi(G) <= m, and it is reached earlier at a level
+    whose value meets the Haagerup bound ``hom.upper_bound()``.  The sweep
+    searches levels only up to the first of these, and every level above it
+    carries that value and the lifted witness (see ``_level_sweep``).
+    ``metas`` has one meta per level (a lifted level's is a copy of its
+    searched level's), ``meta`` the last.  Only the searched levels must fit
+    ``LEVEL_DIM_LIMIT``, so a source whose level m does not, such as Z24
+    into S4, is still reported.
     """
     m = int(sum(hom.source_table.dims))
-    _check_level(hom, m)
     estimates = _level_sweep(hom, range(1, m + 1), resolve_effort(effort), seed)
     return CbNormResult(value=estimates[-1].value,
                         levels=[(k, est.value) for k, est in enumerate(estimates, start=1)],
@@ -405,11 +425,15 @@ def hom_norm_report(hom: InducedHom, levels=(1, 2), effort="default",
     Each level is seeded by the previous level's witness, so the reported
     level-k values are nondecreasing in k.  In each direction, levels above
     the first requested one at or above D = max_pi d_pi of that direction's
-    source are not searched: they carry that level's value, its lifted
-    witness and a copy of its optimizer meta (see ``_level_sweep``).
+    source, or above a level whose value meets that direction's cb upper
+    bound, are not searched: they carry that level's value, its lifted
+    witness and a copy of its optimizer meta (see ``_level_sweep``).  Every
+    requested level is reported with a witness, so each must fit
+    ``LEVEL_DIM_LIMIT``, checked before any search.
     """
     eff = resolve_effort(effort)
     levels = sorted(set(int(k) for k in levels) | {1})
+    _check_level(hom, levels[-1])
     forward = _level_sweep(hom, levels, eff, seed)
     backward = _level_sweep(hom.inverse(), levels, eff, seed)
     pairs = dict(zip(levels, zip(forward, backward)))

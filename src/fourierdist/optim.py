@@ -14,6 +14,12 @@ objective, so it climbs from every start), and a coarse random-sampling
 oracle over unitary tuples.  Every block norm comes from one kernel,
 ``top_singular_values``: closed forms for 1x1 and 2x2 blocks, LAPACK beyond,
 and ``np.linalg.LinAlgError`` on non-finite input of any block size.
+
+``cb_upper_bound`` brackets the supremum from above at every amplification
+level (Haagerup's factorization of the map's Choi matrix).  Given that
+bound, the search stops as soon as a witness meets it within ``TIE_RTOL``:
+no later restart or oracle sample could then replace the incumbent, so the
+value, witness and labels are those of the full search, at less cost.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ POLISH_ROUNDS = 60
 # share of the incumbent's size, so that rounding noise around a common value
 # neither relabels best_source nor flags the oracle as beating the ascent
 TIE_RTOL = 1e-13
+# relative rounding margin of cb_upper_bound, well inside TIE_RTOL so that a
+# witness that attains the bound up to rounding still meets it
+UPPER_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,44 @@ def top_singular_pair(m: np.ndarray):
         return s, u, np.ones(1, dtype=complex)
     u, sv, vh = np.linalg.svd(m)
     return float(sv[0]), u[:, 0], vh[0].conj()
+
+
+def cb_upper_bound(kernels: list[list[np.ndarray]], dims_in: list[int],
+                   dims_out: list[int]) -> float:
+    """An upper bound of the cb norm of the block map with kernels K[out][in],
+    hence of its value at every amplification level.
+
+    Embed the blocks diagonally in M_a and M_b (a = sum dims_in, b = sum
+    dims_out) and let phi = L o E, with E the compression to the block
+    diagonal, a complete contraction: ||phi||_cb = ||L||_cb.  Each way of
+    writing phi(X) = sum_r A_r X B_r gives Haagerup's bound
+    ||sum_r A_r A_r^*||^1/2 ||sum_r B_r^* B_r||^1/2 (Paulsen, Completely
+    Bounded Maps and Operator Algebras).  The Choi matrix with rows (p, i) and
+    columns (j, q), M[(p,i),(j,q)] = phi(e_ij)[p,q], is sum_r vec(A_r)
+    vec(B_r)^T for such a sum, so its SVD M = V S Y^* gives one with balanced
+    factors U = V S^1/2 and W = S^1/2 Y^*, whose two sums are the partial
+    traces of U U^* over i and of W^* W over j.  The reconstruction residual
+    R = M - U W is the Choi matrix of a map with the representation R = R I,
+    whose bound is at most sqrt(a) ||R||_F; it is added, and ``UPPER_RTOL``
+    covers the rounding of the rest.
+    """
+    a, b = sum(dims_in), sum(dims_out)
+    off_in, off_out = np.cumsum([0, *dims_in]), np.cumsum([0, *dims_out])
+    choi = np.zeros((b, a, a, b), dtype=complex)
+    for p, row in enumerate(kernels):
+        for s, kern in enumerate(row):
+            # kern[A, B, x, y] = phi(e_xy)[A, B] inside the blocks (p, s)
+            choi[off_out[p]:off_out[p + 1], off_in[s]:off_in[s + 1],
+                 off_in[s]:off_in[s + 1], off_out[p]:off_out[p + 1]] = kern.transpose(0, 2, 3, 1)
+    choi = choi.reshape(b * a, a * b)
+    v, sv, yh = np.linalg.svd(choi, full_matrices=False)
+    root = np.sqrt(sv)
+    u, w = v * root, root[:, None] * yh
+    left = np.einsum("pir,qir->pq", u.reshape(b, a, -1), u.conj().reshape(b, a, -1))
+    right = np.einsum("rjp,rjq->pq", w.conj().reshape(-1, a, b), w.reshape(-1, a, b))
+    bound = np.sqrt(np.linalg.eigvalsh(left)[-1] * np.linalg.eigvalsh(right)[-1])
+    residual = np.sqrt(a) * np.linalg.norm(choi - u @ w)
+    return float((bound + residual) * (1 + UPPER_RTOL))
 
 
 def clip_to_ball(m: np.ndarray) -> np.ndarray:
@@ -269,8 +316,34 @@ def _beats(val: float, incumbent: float) -> bool:
     return val > incumbent + TIE_RTOL * abs(incumbent)
 
 
+def meets_upper(value: float, upper: float | None) -> bool:
+    """Whether a value meets an upper bound of the supremum within a tie, so
+    that no candidate at most the bound can beat it."""
+    return upper is not None and not _beats(upper, value)
+
+
+def _starts(linmap: BlockLinearMap, effort: Effort, seed: int, extra_starts: tuple):
+    """The identity tuple, the extra starts, then ``effort.restarts`` random
+    starts, each built only when asked for; random start r draws from its own
+    generator, so the starts that run do not depend on how many run."""
+    k = linmap.k
+    yield [np.eye(k * d, dtype=complex) for d in linmap.dims_in]
+    for s in extra_starts:
+        yield [b.copy() for b in s]
+    for r in range(effort.restarts):
+        rng = np.random.default_rng([seed, 1000 + r])
+        if r % 2 == 0:
+            yield [haar_unitary(rng, k * d) for d in linmap.dims_in]
+        else:
+            yield [
+                (rng.standard_normal((k * d,) * 2) + 1j * rng.standard_normal((k * d,) * 2))
+                / np.sqrt(2 * k * d)
+                for d in linmap.dims_in
+            ]
+
+
 def maximize_block_image(linmap: BlockLinearMap, effort: Effort, seed: int = 0,
-                         extra_starts: tuple = ()):
+                         extra_starts: tuple = (), upper: float | None = None):
     """Best feasible witness found for sup ||L(X)|| over the unit polyball.
 
     Returns (value, witness_blocks, meta).  The identity tuple is always one
@@ -280,34 +353,32 @@ def maximize_block_image(linmap: BlockLinearMap, effort: Effort, seed: int = 0,
     more than ``TIE_RTOL`` relative, so ``best_source`` names the first
     generator to reach the value and a tie with the oracle keeps
     ``converged`` True.
+
+    ``upper``, if given, must bound every value the objective can take (for
+    example ``cb_upper_bound``).  Once the incumbent meets it
+    (``meets_upper``) no later candidate could win, so the search stops: no
+    further start is built or climbed and the oracle is skipped, and the
+    result is the one the full search would return.  ``meta`` records
+    ``upper`` and the random restarts and oracle samples actually run.
     """
-    k = linmap.k
-    starts: list[list[np.ndarray]] = [
-        [np.eye(k * d, dtype=complex) for d in linmap.dims_in]
-    ]
-    starts.extend([b.copy() for b in s] for s in extra_starts)
-    for r in range(effort.restarts):
-        rng = np.random.default_rng([seed, 1000 + r])
-        if r % 2 == 0:
-            starts.append([haar_unitary(rng, k * d) for d in linmap.dims_in])
-        else:
-            starts.append([
-                (rng.standard_normal((k * d,) * 2) + 1j * rng.standard_normal((k * d,) * 2))
-                / np.sqrt(2 * k * d)
-                for d in linmap.dims_in
-            ])
     best_val, best_x, best_src = -1.0, None, "start"
-    for si, start in enumerate(starts):
+    climbed = 0
+    for start in _starts(linmap, effort, seed, extra_starts):
+        if meets_upper(best_val, upper):
+            break
         val, x = _ascend(linmap, start)
         if _beats(val, best_val):
             best_val, best_x = val, x
-            best_src = "ascent" if si > 0 else "identity-start"
+            best_src = "ascent" if climbed > 0 else "identity-start"
+        climbed += 1
+    sample = effort.samples > 0 and not meets_upper(best_val, upper)
     meta = {
-        "restarts": effort.restarts,
-        "samples": effort.samples,
+        "restarts": max(0, climbed - 1 - len(extra_starts)),
+        "samples": effort.samples if sample else 0,
         "converged": True,
+        "upper": upper,
     }
-    if effort.samples > 0:
+    if sample:
         s_val, s_x = _sample_oracle(linmap, effort.samples, seed)
         meta["sampling_value"] = s_val
         if _beats(s_val, best_val):

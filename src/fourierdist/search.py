@@ -1,8 +1,9 @@
 """Exhaustive and sampled scans over bijections between two groups.
 
 All norms computed here inherit the lower-bound semantics of the optimizer:
-a scan can certify that norms exceed a threshold but never that a value in a
-gap is truly attained, which is why the gap verdicts are advisory.
+a scan can certify that norms exceed a threshold, but a value in a gap is
+known to be attained only where it meets the ``upper`` bound its row
+exports, which is why the gap verdicts are advisory.
 Bijections are canonicalized to fix the identity; left translations on
 either side leave every computed norm unchanged, so nothing is lost.
 Automorphisms on either side are complete isometries too, so exhaustive
@@ -263,7 +264,11 @@ def epsilon_zero_bound(pairs, effort="default", seed: int = 0):
 
 
 def search_result_rows(result: SearchResult) -> list[dict]:
-    """Flat per-bijection rows used by the CSV and JSON exports."""
+    """Flat per-bijection rows used by the CSV and JSON exports.
+
+    ``converged``, ``best_source`` and ``upper`` (the cb upper bound the
+    search ran against, None for a closed form) map each level to its two
+    directions; the CSV keeps only the values."""
     def map_text(bij):
         return ",".join(str(int(x)) for x in bij.map)
 
@@ -283,6 +288,7 @@ def search_result_rows(result: SearchResult) -> list[dict]:
             "distortion": rec.report.distortion,
             "converged": per_level(rec.report, "converged"),
             "best_source": per_level(rec.report, "best_source"),
+            "upper": per_level(rec.report, "upper"),
             "orbit": None if rec.orbit is None else map_text(rec.orbit),
         })
     return rows

@@ -30,6 +30,15 @@ def z6_s3_hom(z6, s3):
     return fd.induced_hom(fd.irrep_table_for(z6), fd.irrep_table_for(s3), np.arange(6))
 
 
+@pytest.fixture(scope="session")
+def z6_s3_uncertified_hom(z6, s3):
+    """The Z6 -> S3 map [0,3,4,1,5,2], of the orbit whose T^-1 has cb norm
+    5/3: the Haagerup bound of T^-1 (about 1.6935) stays above every value,
+    so no level of T^-1 meets it and its searches run in full."""
+    return fd.induced_hom(fd.irrep_table_for(z6), fd.irrep_table_for(s3),
+                          np.array([0, 3, 4, 1, 5, 2]))
+
+
 FAST_EFFORT = fd.Effort(restarts=6, samples=1024)
 
 

@@ -168,10 +168,11 @@ def test_cb_norm_of_worked_pair(z6_s3_hom):
     assert values[1] >= SQRT2 - 1e-9
 
 
-def test_cb_norm_shares_the_level_sweep(z6_s3_hom, monkeypatch):
+def test_cb_norm_shares_the_level_sweep(z6_s3_uncertified_hom, monkeypatch):
     # cb_norm and hom_norm_report run the same sweep: equal values at levels
     # 1 and 2 for the same effort and seed, and a bit-equal level-2 witness
-    inv = z6_s3_hom.inverse()
+    # (on a map whose level 1 never meets its cb upper bound, so level 2 is searched)
+    inv = z6_s3_uncertified_hom.inverse()
     estimates = []
 
     def recording(*args, **kwargs):
@@ -203,10 +204,12 @@ def _recording(monkeypatch, name):
     return calls
 
 
-def test_cb_norm_stops_optimizing_at_the_largest_source_block(z6_s3_hom, monkeypatch):
+def test_cb_norm_stops_optimizing_at_the_largest_source_block(z6_s3_uncertified_hom,
+                                                              monkeypatch):
     # the source of T^-1 is S3 with irrep dimensions 1, 1, 2: by Smith's
     # lemma levels 3 and 4 equal level 2, so only levels 1 and 2 optimize
-    inv = z6_s3_hom.inverse()
+    # (no level of this map meets its cb upper bound, so only Smith's cut stops)
+    inv = z6_s3_uncertified_hom.inverse()
     calls = _recording(monkeypatch, "maximize_block_image")
     sweep = _recording(monkeypatch, "level_k_norm")
     result = fd.cb_norm(inv, effort=FAST_EFFORT, seed=1)
@@ -232,17 +235,21 @@ def test_cb_norm_stops_optimizing_at_the_largest_source_block(z6_s3_hom, monkeyp
     assert feasibility <= 1.0 + 1e-9
 
 
-def test_hom_norm_report_skips_levels_above_the_largest_source_block(z6_s3_hom, monkeypatch):
+def test_hom_norm_report_skips_levels_above_the_largest_source_block(z6_s3_uncertified_hom,
+                                                                     monkeypatch):
     # T has the abelian source Z6 and no optimizer call; T^-1 has the source
-    # S3, so level 3 is lifted from level 2
+    # S3, so level 3 is lifted from level 2 (no level of T^-1 meets its cb
+    # upper bound, so only Smith's cut stops)
+    hom = z6_s3_uncertified_hom
     calls = _recording(monkeypatch, "maximize_block_image")
-    report = fd.hom_norm_report(z6_s3_hom, levels=(1, 2, 3), effort=FAST_EFFORT)
+    report = fd.hom_norm_report(hom, levels=(1, 2, 3), effort=FAST_EFFORT)
     assert [args[0].k for args, _ in calls] == [1, 2]
     assert report.level_k_norms[3] == report.level_k_norms[2]
     assert report.witnesses[3][1].level == 3
-    # a lifted level still obeys the block size limit
+    # a requested level still obeys the block size limit, before any search
     with pytest.raises(SizeLimitError):
-        fd.hom_norm_report(z6_s3_hom, levels=(1, 2, 33), effort=FAST_EFFORT)
+        fd.hom_norm_report(hom, levels=(1, 2, 33), effort=FAST_EFFORT)
+    assert len(calls) == 2
 
 
 def test_cb_norm_abelian_source_evaluates_the_closed_form_once(z6_s3_hom, monkeypatch):
@@ -307,15 +314,25 @@ def test_cb_norm_size_limit(monkeypatch):
     exact = abelian_induced_norm(z16, z2z8, np.arange(16))
     for _, value in result.levels:
         assert value == pytest.approx(exact, abs=1e-12)
-    # level m = 24 with the 3x3 blocks of the target S4 is 72 > LEVEL_DIM_LIMIT:
-    # refused before any level is searched
+    # Z24 -> S4: only level 1 is searched (one closed-form evaluation); levels
+    # 2..24 are lifted and build no linear map, so their blocks may exceed
+    # LEVEL_DIM_LIMIT (24 x 3 = 72 > 64 at level 24)
+    z24, s4 = fd.make_cyclic(24), fd.make_symmetric(4)
+    t24, t4 = fd.irrep_table_for(z24), fd.irrep_table_for(s4)
+    hom = fd.induced_hom(t24, t4, np.arange(24))
+    exact = max(fd.a_norm(fd.AFunction(s4, rep.matrices[:, 0, 0]), t4) for rep in t24.irreps)
     calls = _recording(monkeypatch, "maximize_block_image")
     sweep = _recording(monkeypatch, "level_k_norm")
-    hom = fd.induced_hom(fd.irrep_table_for(fd.make_cyclic(24)),
-                         fd.irrep_table_for(fd.make_symmetric(4)), np.arange(24))
-    with pytest.raises(SizeLimitError):
-        fd.cb_norm(hom, effort=FAST_EFFORT)
-    assert calls == [] and sweep == []
+    result = fd.cb_norm(hom, effort=FAST_EFFORT)
+    assert calls == [] and len(sweep) == 1
+    assert [k for k, _ in result.levels] == list(range(1, 25))
+    for _, value in result.levels:
+        assert value == pytest.approx(exact, abs=1e-10)
+    assert result.witness.level == 24
+    assert max(blk.shape[0] for blk in result.witness.blocks) == 72
+    recomputed, feasibility = reevaluate_witness(hom, result)
+    assert abs(recomputed - result.value) <= 1e-9
+    assert feasibility <= 1.0 + 1e-9
 
 
 def test_cb_norm_of_an_s4_source_is_flat_from_level_three(monkeypatch):
@@ -336,17 +353,41 @@ def test_cb_norm_of_an_s4_source_is_flat_from_level_three(monkeypatch):
     assert feasibility <= 1.0 + 1e-9
 
 
-def test_cb_norm_keeps_one_meta_per_level(z6_s3_hom, monkeypatch):
+def test_cb_norm_keeps_one_meta_per_level(z6_s3_uncertified_hom, monkeypatch):
     # levels 1 and 2 of T^-1 are searched; levels 3 and 4 carry copies of
     # level 2's meta
     sweep = _recording(monkeypatch, "level_k_norm")
-    result = fd.cb_norm(z6_s3_hom.inverse(), effort=FAST_EFFORT, seed=1)
+    result = fd.cb_norm(z6_s3_uncertified_hom.inverse(), effort=FAST_EFFORT, seed=1)
     assert len(result.metas) == len(result.levels) == 4
     searched = [est.meta for _, est in sweep]
     assert result.metas[:2] == searched and result.metas[0] is searched[0]
     for lifted in result.metas[2:]:
         assert lifted == searched[1] and lifted is not searched[1]
     assert result.meta == result.metas[-1]
+
+
+def test_cb_upper_bound_lies_above_every_level(z6_s3_hom):
+    # the worked pair's cb_norm levels in both directions: both have cb norm
+    # sqrt(2), which the bound meets, so T^-1 stops searching at level 1
+    for hom in (z6_s3_hom, z6_s3_hom.inverse()):
+        upper = hom.upper_bound()
+        assert upper == pytest.approx(SQRT2, rel=1e-13)
+        result = fd.cb_norm(hom, effort=FAST_EFFORT)
+        assert all(upper >= value for _, value in result.levels)
+    assert [meta["upper"] for meta in result.metas] == [upper] * 4
+    assert result.metas[0]["restarts"] == 0 and result.metas[1:] == [result.metas[0]] * 3
+    # levels 1 and 2 of seeded D4/Q8 maps in both directions
+    d4, q8 = fd.parse_group_spec("D4"), fd.parse_group_spec("Q8")
+    t_d4, t_q8 = fd.irrep_table_for(d4), fd.irrep_table_for(q8)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        hom = fd.induced_hom(t_d4, t_q8, np.concatenate(([0], rng.permutation(np.arange(1, 8)))))
+        report = fd.hom_norm_report(hom, levels=(1, 2), effort=FAST_EFFORT)
+        for d, direction in enumerate((hom, hom.inverse())):
+            upper = direction.upper_bound()
+            for k in (1, 2):
+                assert upper >= report.level_k_norms[k][d]
+                assert report.optimizer_meta[k][d]["upper"] == upper
 
 
 def test_jordan_defect_of_isomorphism(z6):

@@ -100,11 +100,13 @@ def test_the_check_sees_svd_calls():
 
 
 def test_svd_is_called_only_by_the_norm_kernels():
-    # top singular values and pairs come from optim; schatten_norm needs the
-    # whole spectrum and the irrep split needs the polar factor of a stack
+    # top singular values and pairs come from optim, and so does the cb upper
+    # bound's factorization of a Choi matrix; schatten_norm needs the whole
+    # spectrum and the irrep split needs the polar factor of a stack
     calls = {p.name: svd_callers(ast.parse(p.read_text())) for p in PACKAGE}
     assert {name: fns for name, fns in calls.items() if fns} == {
-        "optim.py": ["top_singular_values", "top_singular_pair", "clip_to_ball", "polar_factor"],
+        "optim.py": ["top_singular_values", "top_singular_pair", "cb_upper_bound",
+                     "clip_to_ball", "polar_factor"],
         "fourier.py": ["schatten_norm"],
         "irreps.py": ["_eigensplit"],
     }

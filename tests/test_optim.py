@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import fourierdist as fd
-from fourierdist.optim import (BlockLinearMap, _best_block, _polish_step, clip_to_ball,
-                               haar_unitaries, maximize_block_image, top_singular_pair,
-                               top_singular_value, top_singular_values)
+from fourierdist.optim import (BlockLinearMap, _best_block, _polish_step, cb_upper_bound,
+                               clip_to_ball, haar_unitaries, maximize_block_image,
+                               meets_upper, top_singular_pair, top_singular_value, top_singular_values)
 from fourierdist.search import _orbit_transports
 
-from conftest import reevaluate_witness
+from conftest import FAST_EFFORT, reevaluate_witness
 
 
 def _lapack_top(stack):
@@ -236,3 +236,82 @@ def test_sampling_oracle_still_flags_a_real_gap():
     assert est.meta["best_source"] == "sampling"
     assert est.meta["converged"] is False
     assert est.value == est.meta["sampling_value"]
+
+
+def test_cb_upper_bound_of_the_transpose_is_its_cb_norm():
+    # the transpose on M_2 has norm 1 and cb norm 2; the bound is exactly 2,
+    # and the level-2 search reaches it while level 1 stays at 1
+    kernel = np.einsum("Ab,Ba->ABab", np.eye(2), np.eye(2)).astype(complex)
+    upper = cb_upper_bound([[kernel]], [2], [2])
+    assert upper == pytest.approx(2.0, rel=1e-13) and upper >= 2.0
+    values = [maximize_block_image(BlockLinearMap([[kernel]], [2], [2], k), FAST_EFFORT)[0]
+              for k in (1, 2)]
+    assert values == pytest.approx([1.0, 2.0], abs=1e-12)
+
+
+def test_cb_upper_bound_lies_above_the_search_on_random_maps():
+    # kernels with no group behind them: the bound holds for any block map
+    rng = np.random.default_rng(53)
+    shapes = [([1, 2], [2, 1]), ([1, 1, 2], [1, 2]), ([2, 3], [1, 1, 2]), ([3], [2, 2])]
+    for dims_in, dims_out in shapes:
+        for _ in range(3):
+            linmap = _random_linmap(rng, dims_in, dims_out, 1)
+            upper = cb_upper_bound(linmap.kernels, dims_in, dims_out)
+            for k in (1, 2):
+                linmap_k = BlockLinearMap(linmap.kernels, dims_in, dims_out, k)
+                value, _, _ = maximize_block_image(linmap_k, FAST_EFFORT)
+                assert value <= upper
+
+
+def test_upper_bound_stop_keeps_the_full_search_result(z6, s3):
+    # the stop skips only candidates that cannot win: on the Z6/S3 orbit
+    # representatives (the first is the worked pair), both directions, levels 1
+    # and 2, the value, witness, best_source and converged flag are those of
+    # the full search
+    t6, t3 = fd.irrep_table_for(z6), fd.irrep_table_for(s3)
+    reps, _ = _orbit_transports(z6, s3, [b.map for b in fd.enumerate_bijections(z6, s3)])
+    assert reps[0].tolist() == list(range(6))
+    stopped = 0
+    for mp in reps:
+        hom = fd.induced_hom(t6, t3, mp)
+        for direction in (hom, hom.inverse()):
+            upper = direction.upper_bound()
+            for k in (1, 2):
+                linmap = direction.linear_map(k)
+                full = maximize_block_image(linmap, FAST_EFFORT, seed=3)
+                cut = maximize_block_image(linmap, FAST_EFFORT, seed=3, upper=upper)
+                assert cut[0] == full[0]
+                assert all(np.array_equal(a, b) for a, b in zip(cut[1], full[1]))
+                for key in ("best_source", "converged"):
+                    assert cut[2][key] == full[2][key]
+                assert full[2]["upper"] is None and cut[2]["upper"] == upper
+                assert full[2]["restarts"] == FAST_EFFORT.restarts
+                assert full[2]["samples"] == FAST_EFFORT.samples
+                # the oracle is skipped exactly when the witness meets the bound
+                met = meets_upper(cut[0], upper)
+                assert ("sampling_value" in cut[2]) == (not met)
+                assert cut[2]["samples"] == (0 if met else FAST_EFFORT.samples)
+                stopped += met and k == 1
+    # at level 1 every direction meets its bound except T^-1 on the 4 orbits
+    # of cb norm 5/3
+    assert stopped == 2 * len(reps) - 4
+    # the worked pair's T^-1 at level 1 stops at the identity start
+    inv = fd.induced_hom(t6, t3, reps[0]).inverse()
+    _, _, meta = maximize_block_image(inv.linear_map(1), FAST_EFFORT, upper=inv.upper_bound())
+    assert meta["restarts"] == 0 and meta["best_source"] == "identity-start"
+
+
+def test_an_uncertified_search_runs_in_full(z6_s3_uncertified_hom):
+    # T^-1 of [0,3,4,1,5,2] has cb norm 5/3 below its bound of about 1.6935:
+    # no witness meets the bound, so every restart and the oracle still run
+    inv = z6_s3_uncertified_hom.inverse()
+    upper = inv.upper_bound()
+    assert upper > 5 / 3 + 1e-3
+    for k in (1, 2):
+        linmap = inv.linear_map(k)
+        value, x, meta = maximize_block_image(linmap, FAST_EFFORT, seed=0, upper=upper)
+        assert meta["restarts"] == FAST_EFFORT.restarts
+        assert meta["samples"] == FAST_EFFORT.samples and "sampling_value" in meta
+        full_value, full_x, _ = maximize_block_image(linmap, FAST_EFFORT, seed=0)
+        assert value == full_value
+        assert all(np.array_equal(a, b) for a, b in zip(x, full_x))

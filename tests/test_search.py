@@ -199,6 +199,32 @@ def test_csv_export():
     assert rows[0]["level2_T"] is not None
 
 
+def assert_upper_bounds_hold(result):
+    """Every level value of every record lies below the cb upper bound of its
+    direction and below the exported bound the search used; an abelian
+    source has the closed form, which the bound equals, and exports None."""
+    g, h = result.pair
+    tables = {"source_table": fd.irrep_table_for(g), "target_table": fd.irrep_table_for(h)}
+    for rec, row in zip(result.records, fd.search_result_rows(result)):
+        hom = fd.InducedHom(bijection=rec.bijection, **tables)
+        assert set(row["upper"]) == {str(k) for k in rec.report.level_k_norms}
+        for d, direction in enumerate((hom, hom.inverse())):
+            upper = direction.upper_bound()
+            for k, values in rec.report.level_k_norms.items():
+                exported = row["upper"][str(k)][("T", "Tinv")[d]]
+                assert upper >= values[d]
+                if direction.source_group.is_abelian():
+                    assert exported is None
+                    assert upper == pytest.approx(values[d], abs=1e-10)
+                else:
+                    assert exported >= values[d]
+
+
+def test_upper_bounds_hold_on_the_order_four_scan():
+    z4, z22 = fd.make_cyclic(4), fd.parse_group_spec("Z2xZ2")
+    assert_upper_bounds_hold(fd.norm_gap_scan(z4, z22, level=2, effort=FAST_EFFORT))
+
+
 @pytest.fixture(scope="module")
 def counted_z6_s3_scan():
     """Orbit-reduced Z6/S3 level-2 scan, counting optimizer calls."""
@@ -218,14 +244,21 @@ def counted_z6_s3_scan():
 def test_orbit_reduced_scan_counts(counted_z6_s3_scan):
     result, calls = counted_z6_s3_scan
     assert len(result.records) == 120
-    # 12 orbit representatives x levels 1 and 2, T^-1 only (Z6 is abelian)
-    assert calls == 24
+    # 12 orbit representatives at level 1, T^-1 only (Z6 is abelian); level 2
+    # is searched only where level 1 does not meet the cb upper bound of T^-1,
+    # which is the 4 orbits whose T^-1 has cb norm 5/3 (bound about 1.6935)
+    assert calls == 16
     # the lexicographically smallest member of each Aut(G) x Aut(H) orbit
     auts_g, auts_h = (fd.automorphisms(grp) for grp in result.pair)
     reps = {min(tuple(alpha[b.map[beta]].tolist()) for alpha in auts_g for beta in auts_h)
             for b in fd.enumerate_bijections(*result.pair)}
     assert {tuple(r.orbit.map.tolist()) for r in result.records} == reps
     assert result.meta["orbits"] == 12
+
+
+def test_upper_bounds_hold_on_the_z6_s3_scan(counted_z6_s3_scan):
+    result, _ = counted_z6_s3_scan
+    assert_upper_bounds_hold(result)
 
 
 def test_orbit_reduced_scan_witnesses(counted_z6_s3_scan):
